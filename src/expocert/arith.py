@@ -7,20 +7,23 @@ Maclaurin bracket
     T_{2m-1}(t) < exp(-t) < T_{2m}(t)    for rational t > 0,
 
 whose width t^(2m)/(2m)! is an exact rational. Enclosures of exp(s) for
-any rational s, of the constant e itself, and of rational expressions in
-e (ConstExpr) are all derived from that bracket, so tightening is always
-a matter of raising m.
+any rational s, of the constant e itself, of rational expressions in e
+(ConstExpr) and of finite sums of rational multiples of e^s (ExpSum) are
+all derived from that bracket, so tightening is always a matter of
+raising m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
     DivisionByPossiblyZeroError,
+    LoweringError,
     PreconditionError,
 )
 from .poly import Polynomial, poly_gcd
@@ -143,9 +146,6 @@ class RationalInterval:
             raise PreconditionError("intervals do not intersect")
         return RationalInterval(lo, hi)
 
-    def hull(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def outward_round(self, bits: int) -> "RationalInterval":
         """Widen to endpoints with denominator 2**bits.
 
@@ -165,17 +165,6 @@ class RationalInterval:
 
 # ---------------------------------------------------------------------------
 # the exp(-t) bracket
-
-
-def exp_neg_taylor(n: int, t) -> Fraction:
-    """Partial sum T_n(t) = sum_{k<=n} (-t)^k / k!, exactly."""
-    t = _rat(t)
-    acc = Fraction(1)
-    term = Fraction(1)
-    for k in range(1, n + 1):
-        term *= -t / k
-        acc += term
-    return acc
 
 
 def enclose_exp_neg(t, eps, m_min: int = 1, m_force: int | None = None) -> RationalInterval:
@@ -453,69 +442,58 @@ class ConstExpr:
         return f"ConstExpr({self.text()!r})"
 
 
-def enclose_const(expr: ConstExpr, eps) -> RationalInterval:
-    """Certified enclosure of a constant expression, width < eps."""
-    return expr.enclosure(eps)
-
-
 # ---------------------------------------------------------------------------
-# sparse Laurent combinations of a single exponential
+# sums of rational multiples of e^s
 #
-# A "laurent" here is a dict {k: c_k} meaning sum c_k * tau^k with tau =
-# exp(1/D) for a denominator D fixed by the caller, k any integer. These
-# come up when both sides of an inequality are evaluated at an exact
-# rational point: every exp(.) collapses onto a power of one tau, so the
-# difference of the sides is such a sum and its sign (or exact vanishing)
-# is decidable.
+# A sum is a dict {s: c} with rational s, meaning sum c * e^s. Such sums
+# come up when an expression is evaluated at an exact rational point:
+# every exp(.) collapses onto one e^s, so the value (and the difference
+# of two sides) is a finite sum whose exact vanishing is read off the
+# dict and whose sign is read off an enclosure of a single e^(1/D).
+# Zero coefficients are never stored, so {} is exactly zero.
 
-Laurent = dict
-
-
-def lau_from_term(c, k: int) -> Laurent:
-    c = _rat(c)
-    return {k: c} if c != 0 else {}
+ExpSum = dict
 
 
-def lau_add(a: Laurent, b: Laurent) -> Laurent:
+def _sum_add(a: dict, b: dict, sgn: int) -> dict:
+    """a + sgn*b on sparse sums; only the keys are merged, so any sparse
+    coefficient dict (e^s sums, linear forms) can use it."""
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, Fraction(0)) + c
-        if s == 0:
+        nc = out.get(k, Fraction(0)) + sgn * c
+        if nc == 0:
             out.pop(k, None)
         else:
-            out[k] = s
+            out[k] = nc
     return out
 
 
-def lau_neg(a: Laurent) -> Laurent:
-    return {k: -c for k, c in a.items()}
-
-def lau_sub(a: Laurent, b: Laurent) -> Laurent:
-    return lau_add(a, lau_neg(b))
-
-
-def lau_scale(a: Laurent, c) -> Laurent:
-    c = _rat(c)
-    if c == 0:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def lau_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
+def _sum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
+    out: ExpSum = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = ka + kb
-            s = out.get(k, Fraction(0)) + ca * cb
-            if s == 0:
+            nc = out.get(k, Fraction(0)) + ca * cb
+            if nc == 0:
                 out.pop(k, None)
             else:
-                out[k] = s
+                out[k] = nc
     return out
 
 
-def lau_is_zero(a: Laurent) -> bool:
-    return all(c == 0 for c in a.values())
+def _sum_reciprocal(b: ExpSum) -> ExpSum:
+    """1/b, exact only for a single term c*e^s."""
+    if not b:
+        raise LoweringError("division by exact zero at this point")
+    if len(b) > 1:
+        raise LoweringError("division by a sum of exponentials is not exact")
+    ((k, c),) = b.items()
+    return {-k: 1 / c}
+
+
+def _common_denominator(rationals: Iterable[Fraction]) -> int:
+    """Least D > 0 with every r*D an integer."""
+    return lcm(1, *(r.denominator for r in rationals))
 
 
 def _interval_pow(base: RationalInterval, k: int, bits: int) -> RationalInterval:
@@ -534,15 +512,21 @@ def _interval_pow(base: RationalInterval, k: int, bits: int) -> RationalInterval
     return acc
 
 
-def lau_enclosure(a: Laurent, denom: int, eps) -> RationalInterval:
-    """Enclose sum c_k * exp(k/denom) to width < eps."""
+def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
+    """Enclose sum c * e^s to width < eps.
+
+    With D the common denominator of the exponents, every e^s is an
+    integer power of tau = e^(1/D), so one enclosure of tau serves all
+    terms; it and the working precision tighten together until the sum
+    is narrow enough.
+    """
     eps = _rat(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    if lau_is_zero(a):
+    if not a:
         return RationalInterval.point(0)
-    if denom < 1:
-        raise PreconditionError("denom must be a positive integer")
+    denom = _common_denominator(a)
+    powers = [(int(s * denom), c) for s, c in sorted(a.items())]
     # seed the schedule from the target: the first tau needs roughly the
     # requested precision already, and the working precision must exceed
     # -log2(eps) or outward rounding alone would defeat the tightening
@@ -552,38 +536,13 @@ def lau_enclosure(a: Laurent, denom: int, eps) -> RationalInterval:
     for _ in range(60):
         tau = exp_enclosure(Fraction(1, denom), tau_eps)
         acc = RationalInterval.point(0)
-        for k, c in sorted(a.items()):
+        for k, c in powers:
             acc = acc + _interval_pow(tau, k, bits).scale(c)
         if acc.width < eps:
             return acc
         tau_eps /= 1 << 12
         bits += 48
-    raise BudgetExceededError("laurent enclosure did not converge")
-
-
-def lau_sign(a: Laurent, denom: int, max_rounds: int = 24) -> int:
-    """Sign of sum c_k * exp(k/denom).
-
-    Returns 0 when the sum is exactly zero (empty/cancelled dict). With a
-    nonzero sum the sign is found by tightening; if max_rounds tightenings
-    do not separate it from zero, 0 is returned as "undecided" and the
-    caller must distinguish that case via lau_is_zero beforehand.
-    """
-    if lau_is_zero(a):
-        return 0
-    bits = 64
-    tau_eps = Fraction(1, 1 << 16)
-    for _ in range(max_rounds):
-        tau = exp_enclosure(Fraction(1, denom), tau_eps)
-        acc = RationalInterval.point(0)
-        for k, c in sorted(a.items()):
-            acc = acc + _interval_pow(tau, k, bits).scale(c)
-        s = acc.definite_sign()
-        if s != 0:
-            return s
-        tau_eps /= 1 << 12
-        bits += 48
-    return 0
+    raise BudgetExceededError("exponential sum enclosure did not converge")
 
 
 # ---------------------------------------------------------------------------

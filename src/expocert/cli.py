@@ -53,9 +53,11 @@ from .prover import (
     GROUPED,
     PER_TERM,
     Certificate,
+    NegativeWitness,
     falsify,
     minimize_assignment,
     prove_positive,
+    prove_sign,
     verify_certificate_report,
 )
 from .stratify import AffineFamily, analyze_affine_family, grid_check
@@ -113,19 +115,6 @@ def _single_variable(node: Node, command: str) -> None:
 # prove / verify
 
 
-def _sign_directed(f: Mep, interval, max_l: int, mode: str):
-    """(sign, certificate) with sign*f > 0 certified, or None."""
-    mid = (interval[0] + interval[1]) / 2
-    hint = eval_enclosure(f, mid, Fraction(1, 10**6))
-    order = (1, -1) if hint.definite_sign() >= 0 else (-1, 1)
-    for sgn in order:
-        try:
-            return sgn, prove_positive(f if sgn > 0 else -f, interval, max_l, mode)
-        except SearchExhaustedError:
-            continue
-    return None
-
-
 def _clear_denominator(
     quotient: ExpRational, interval, max_l: int, mode: str
 ) -> tuple[Mep, Certificate | None]:
@@ -135,13 +124,13 @@ def _clear_denominator(
     if len(den.terms) == 1 and den.terms[0].p == 0 and den.terms[0].q == 0:
         c = den.terms[0].alpha
         return (num if c > 0 else -num), None
-    proved = _sign_directed(den, interval, max_l, mode)
-    if proved is None:
+    try:
+        sgn, cert = prove_sign(den, interval, max_l, mode)
+    except SearchExhaustedError as exc:
         raise DenominatorSignUnknownError(
             f"sign of the denominator {den.text()} on the interval could not "
             f"be certified up to max_l = {max_l}"
-        )
-    sgn, cert = proved
+        ) from exc
     return (num if sgn > 0 else -num), cert
 
 
@@ -175,6 +164,13 @@ def _cmd_prove(ns) -> int:
             cert = minimize_assignment(f, (za, zb), cert)
     except SearchExhaustedError as exc:
         witness = falsify(f, (za, zb))
+        if witness is None and ineq.strict:
+            # a strict claim also fails where the reduced form is exactly
+            # zero, as a polynomial input can be at the midpoint
+            mid = (za + zb) / 2
+            box = eval_enclosure(f, mid, Fraction(1, 10**12))
+            if box.lo == box.hi == 0:
+                witness = NegativeWitness(x=mid, enclosure=box)
         if witness is not None:
             x_orig = witness.x * stretch
             if ns.json:
@@ -188,6 +184,8 @@ def _cmd_prove(ns) -> int:
                         ],
                     },
                 }))
+            elif witness.enclosure.hi == 0:
+                print(f"disproven: at x = {x_orig} the reduced form is exactly zero")
             else:
                 print(
                     f"disproven: at x = {x_orig} the reduced form is certified "

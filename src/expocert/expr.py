@@ -21,9 +21,11 @@ the canonical printer and the parser are mutually inverse on ASTs.
 
 Three lowerings leave this module: `to_const` (no variables) feeds the
 constant-enclosure machinery, `to_exp_rational` (variable x) produces the
-quotient of mixed exponential polynomials the prover works on, and
-`exp_sum_at` (variables x, a) collapses an expression at one rational
-grid point into an exact finite sum of rational multiples of e^s.
+quotient of mixed exponential polynomials the prover works on, stretching
+x by the shared `mep` substitution when exponential rates are fractional,
+and `exp_sum_at` (variables x, a) collapses an expression at one rational
+grid point into an exact finite sum of rational multiples of e^s, built
+and enclosed by the one sum algebra in `arith`.
 """
 
 from __future__ import annotations
@@ -31,15 +33,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .arith import ConstExpr
+from .arith import ConstExpr, ExpSum, _sum_add, _sum_mul, _sum_reciprocal
 from .errors import (
     LoweringError,
     NonlinearExpArgumentError,
     ParseError,
 )
-from .mep import ExpRational, _common_stretch, normalize
+from .mep import ExpRational, _stretch, normalize
 
 Q = Fraction
 
@@ -326,17 +327,8 @@ def _linear_form(node: Node, pos: int) -> dict[tuple[int, int], Fraction]:
         if n.op == "neg":
             return {k: -v for k, v in walk(n.args[0]).items()}
         if n.op == "add" or n.op == "sub":
-            a = walk(n.args[0])
-            b = walk(n.args[1])
-            s = 1 if n.op == "add" else -1
-            out = dict(a)
-            for k, v in b.items():
-                nv = out.get(k, Fraction(0)) + s * v
-                if nv == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-            return out
+            sgn = 1 if n.op == "add" else -1
+            return _sum_add(walk(n.args[0]), walk(n.args[1]), sgn)
         if n.op == "mul":
             a = walk(n.args[0])
             b = walk(n.args[1])
@@ -642,29 +634,17 @@ def to_exp_rational(node: Node) -> tuple[ExpRational, int]:
     the result lives in the variable z; callers must shrink intervals by
     v. v = 1 means the quotient is literally equal to the input.
     """
-    num, den = lower_to_quotient(node)
-    v = _common_stretch(
-        [q for _, _, q in num] + [q for _, _, q in den] or [Fraction(0)]
-    )
-    if v != 1:
-        num = [(c, p, q * v) for c, p, q in num]
-        den = [(c, p, q * v) for c, p, q in den]
-        num = [(c * Fraction(v) ** p, p, q) for c, p, q in num]
-        den = [(c * Fraction(v) ** p, p, q) for c, p, q in den]
-    n_mep = normalize([(c, p, int(q)) for c, p, q in num])
-    d_mep = normalize([(c, p, int(q)) for c, p, q in den])
-    return ExpRational(n_mep, d_mep), v
+    v, (num, den) = _stretch(lower_to_quotient(node))
+    return ExpRational(normalize(num), normalize(den)), v
 
 
 # ---------------------------------------------------------------------------
 # pointwise lowering for the two-parameter grid
 #
 # At an exact rational point every exp collapses to e^s with rational s,
-# so any expression value is a finite sum {s: c} meaning sum c * e^s.
-# Addition and multiplication stay exact; division is exact only by a
-# single-term sum (enough for the target inequalities).
-
-ExpSum = dict
+# so any expression value is a finite sum {s: c} meaning sum c * e^s
+# (arith.ExpSum). Addition and multiplication stay exact; division is
+# exact only by a single-term sum (enough for the target inequalities).
 
 
 def exp_sum_at(node: Node, point: dict[str, Fraction]) -> ExpSum:
@@ -697,56 +677,23 @@ def exp_sum_at(node: Node, point: dict[str, Fraction]) -> ExpSum:
         k = node.value
         base = exp_sum_at(node.args[0], point)
         if k < 0:
-            base = _exp_sum_reciprocal(base)
+            base = _sum_reciprocal(base)
             k = -k
         out: ExpSum = {Fraction(0): Fraction(1)}
         for _ in range(k):
-            out = _exp_sum_mul(out, base)
+            out = _sum_mul(out, base)
         return out
     a = exp_sum_at(node.args[0], point)
     b = exp_sum_at(node.args[1], point)
     if node.op == "add":
-        return _exp_sum_add(a, b, 1)
+        return _sum_add(a, b, 1)
     if node.op == "sub":
-        return _exp_sum_add(a, b, -1)
+        return _sum_add(a, b, -1)
     if node.op == "mul":
-        return _exp_sum_mul(a, b)
+        return _sum_mul(a, b)
     if node.op == "div":
-        return _exp_sum_mul(a, _exp_sum_reciprocal(b))
+        return _sum_mul(a, _sum_reciprocal(b))
     raise LoweringError(f"unknown node {node.op!r}")
-
-
-def _exp_sum_add(a: ExpSum, b: ExpSum, sgn: int) -> ExpSum:
-    out = dict(a)
-    for k, c in b.items():
-        nc = out.get(k, Fraction(0)) + sgn * c
-        if nc == 0:
-            out.pop(k, None)
-        else:
-            out[k] = nc
-    return out
-
-
-def _exp_sum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
-    out: ExpSum = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            nc = out.get(k, Fraction(0)) + ca * cb
-            if nc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nc
-    return out
-
-
-def _exp_sum_reciprocal(b: ExpSum) -> ExpSum:
-    if not b:
-        raise LoweringError("division by exact zero at this point")
-    if len(b) > 1:
-        raise LoweringError("division by a sum of exponentials is not exact")
-    ((k, c),) = b.items()
-    return {-k: 1 / c}
 
 
 def _exp_sum_rational(s: ExpSum) -> Fraction:
@@ -755,9 +702,3 @@ def _exp_sum_rational(s: ExpSum) -> Fraction:
     if set(s) != {Fraction(0)}:
         raise LoweringError("value is not an exact rational here")
     return s[Fraction(0)]
-
-
-def exp_sum_denominator(s: ExpSum) -> int:
-    """Common denominator D of the exponents: every e^k becomes an
-    integer power of e^(1/D)."""
-    return lcm(1, *(k.denominator for k in s))

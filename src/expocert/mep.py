@@ -13,7 +13,9 @@ prover bounds one at a time.
 
 Inputs with negative q (positive exponentials) are handled by `normalize`,
 which multiplies through by a positive power of y; inputs with rational q
-by `rescale_rational_q`, which substitutes x = v*z. Both moves preserve
+by `_stretch`, which substitutes x = v*z with one v shared by every sum
+in the same variable (`expr.to_exp_rational` and
+`stratify.substitute_alpha` both go through it). Both moves preserve
 positivity on the matching interval.
 """
 
@@ -21,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .arith import RationalInterval, enclose_exp_neg
+from .arith import RationalInterval, _common_denominator, enclose_exp_neg
 from .errors import (
     BudgetExceededError,
     DenominatorSignUnknownError,
@@ -223,39 +224,21 @@ def normalize(terms) -> Mep:
     return Mep([(t.alpha, t.p, t.q + shift) for t in ts])
 
 
-def rescale_rational_q(terms, interval: tuple) -> tuple[Mep, tuple]:
-    """Turn nonnegative rational exponential powers into integers.
+def _stretch(groups) -> tuple[int, list[list[tuple[Fraction, int, int]]]]:
+    """Substitute x = v*z into lists of raw terms (a, p, q) = a x^p e^(-qx).
 
-    Accepts raw (alpha, p, q) triples with rational q >= 0. v is the lcm
-    of the q denominators; substituting x = v*z maps each term
-    a x^p e^(-qx) to (a v^p) z^p (e^(-z))^(qv) and the x-interval (a, b)
-    to (a/v, b/v). Returns the rescaled Mep and the new interval.
+    v is the least positive integer that makes q*v an integer for every
+    rational q in every list, so sums that share one variable share one
+    stretch. Each term becomes (a v^p) z^p (e^(-z))^(qv), which keeps the
+    value of each sum at corresponding points, and an x-interval (a, b)
+    becomes (a/v, b/v). q keeps its sign: the results are raw terms for
+    `normalize` or `Mep`.
     """
-    triples = [(Fraction(a), int(p), Fraction(q)) for a, p, q in terms]
-    if any(q < 0 for _, _, q in triples):
-        raise PreconditionError("rescale_rational_q needs q >= 0; normalize first")
-    v = _common_stretch(q for _, _, q in triples)
-    a, b = Fraction(interval[0]), Fraction(interval[1])
-    return _rescale_with(triples, v), (a / v, b / v)
-
-
-def _common_stretch(qs) -> int:
-    return lcm(1, *(q.denominator for q in qs))
-
-
-def _rescale_with(triples, v: int) -> Mep:
-    """Apply the x = v*z substitution with a caller-chosen stretch v.
-
-    Exposed separately so that several MEPs sharing one variable can be
-    rescaled consistently (every q*v must come out an integer).
-    """
-    out = []
-    for a, p, q in triples:
-        qv = q * v
-        if qv.denominator != 1:
-            raise PreconditionError(f"stretch {v} does not clear q = {q}")
-        out.append((a * Fraction(v) ** p, p, int(qv)))
-    return Mep(out)
+    v = _common_denominator(q for terms in groups for _, _, q in terms)
+    return v, [
+        [(a * Fraction(v) ** p, p, int(q * v)) for a, p, q in terms]
+        for terms in groups
+    ]
 
 
 def differentiate_quotient(f: ExpRational) -> ExpRational:

@@ -29,7 +29,7 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from .mep import ExpRational, Mep, eval_enclosure
+from .mep import Mep, eval_enclosure
 from .poly import Polynomial, SturmChain, is_positive_on, squarefree_part
 from .taylor import maclaurin, select_order
 from .arith import RationalInterval
@@ -187,7 +187,6 @@ def lower_bound_poly(
         raise PreconditionError(
             f"assignment covers {len(assignment)} units, need {len(units)}"
         )
-    total = passthrough
     for entry, unit in zip(assignment, units):
         if entry.term != unit.index:
             raise PreconditionError("assignment indices out of order")
@@ -195,8 +194,7 @@ def lower_bound_poly(
             raise PreconditionError(
                 f"theta {entry.theta} has the wrong parity for unit {unit.index}"
             )
-        total = total + unit.poly * maclaurin(entry.theta, unit.q).poly
-    return total
+    return _bound_poly(units, passthrough, assignment)
 
 
 def upper_bound_poly(
@@ -233,6 +231,18 @@ def assignment_for_orders(
     return tuple(out)
 
 
+def _bound_poly(
+    units: Sequence[BoundUnit],
+    passthrough: Polynomial,
+    assignment: Sequence[AssignmentEntry],
+) -> Polynomial:
+    """P = passthrough + sum of unit.poly * T_theta(q x) over the units."""
+    total = passthrough
+    for entry, unit in zip(assignment, units):
+        total = total + unit.poly * maclaurin(entry.theta, unit.q).poly
+    return total
+
+
 def _attempt(
     f: Mep,
     interval: tuple[Fraction, Fraction],
@@ -248,9 +258,7 @@ def _attempt(
     polynomial counts as a plain failure.
     """
     a, b = interval
-    total = passthrough
-    for entry, unit in zip(assignment, units):
-        total = total + unit.poly * maclaurin(entry.theta, unit.q).poly
+    total = _bound_poly(units, passthrough, assignment)
     if total.is_zero:
         return None, None
     sf = squarefree_part(total)
@@ -311,6 +319,26 @@ def prove_positive(
         last_root_count=last_roots,
         detail="pure polynomial part is not positive" if not units else "",
     )
+
+
+def prove_sign(
+    f: Mep, interval, max_l: int, mode: str
+) -> tuple[int, Certificate]:
+    """Certify f > 0 (sign +1) or -f > 0 (sign -1) on the interval.
+
+    A loose enclosure of f at the midpoint picks which direction to try
+    first, so the usual case costs one search. When neither direction is
+    proved, the SearchExhaustedError of the second attempt is raised.
+    """
+    if f.is_zero:
+        raise DegenerateInputError("expression is identically zero")
+    mid = (Fraction(interval[0]) + Fraction(interval[1])) / 2
+    hint = eval_enclosure(f, mid, Fraction(1, 10**6))
+    first, second = (1, -1) if hint.definite_sign() >= 0 else (-1, 1)
+    try:
+        return first, prove_positive(f if first > 0 else -f, interval, max_l, mode)
+    except SearchExhaustedError:
+        return second, prove_positive(f if second > 0 else -f, interval, max_l, mode)
 
 
 def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:

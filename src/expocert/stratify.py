@@ -29,17 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence, Union
 
-from .arith import (
-    ConstExpr,
-    RationalInterval,
-    lau_enclosure,
-)
+from .arith import ConstExpr, ExpSum, RationalInterval, _sum_add, lau_enclosure
 from .errors import (
     BudgetExceededError,
-    DegenerateInputError,
     EndpointValidationError,
     LoweringError,
     MonotonicityUnprovenError,
@@ -47,14 +41,14 @@ from .errors import (
     SearchExhaustedError,
     SignIndeterminateError,
 )
-from .expr import InequalityAst, exp_sum_at, exp_sum_denominator
-from .mep import ExpRational, Mep, _rescale_with, differentiate_quotient, eval_enclosure
-from .poly import Polynomial
+from .expr import InequalityAst, exp_sum_at
+from .mep import ExpRational, Mep, _stretch, differentiate_quotient, eval_enclosure
 from .prover import (
     DEFAULT_MAX_L,
     PER_TERM,
     Certificate,
     prove_positive,
+    prove_sign,
 )
 
 Q = Fraction
@@ -118,28 +112,6 @@ class FamilyReport:
 def _interval_gap(p: RationalInterval, q: RationalInterval) -> Fraction:
     """Distance between two intervals; 0 when they overlap."""
     return max(Fraction(0), p.lo - q.hi, q.lo - p.hi)
-
-
-def _prove_sign(
-    f: Mep, interval, max_l: int, mode: str
-) -> tuple[int, Certificate]:
-    """Certify f > 0 or -f > 0 on the interval; a loose midpoint enclosure
-    picks which direction to try first so the usual case costs one search."""
-    if f.is_zero:
-        raise DegenerateInputError("expression is identically zero")
-    mid = (Fraction(interval[0]) + Fraction(interval[1])) / 2
-    hint = eval_enclosure(f, mid, Fraction(1, 10**6))
-    order = (1, -1) if hint.definite_sign() >= 0 else (-1, 1)
-    last_error: Exception | None = None
-    for sgn in order:
-        try:
-            cert = prove_positive(f if sgn > 0 else -f, interval, max_l, mode)
-            return sgn, cert
-        except SearchExhaustedError as exc:
-            last_error = exc
-    raise MonotonicityUnprovenError(
-        f"neither sign certified up to max_l = {max_l}: {last_error}"
-    )
 
 
 def _validate_endpoint(
@@ -206,8 +178,13 @@ def analyze_affine_family(
     span = b - a
 
     deriv = differentiate_quotient(fam.f)
-    num_sign, num_cert = _prove_sign(deriv.numerator, (a, b), max_l, mode)
-    den_sign, den_cert = _prove_sign(deriv.denominator, (a, b), max_l, mode)
+    try:
+        num_sign, num_cert = prove_sign(deriv.numerator, (a, b), max_l, mode)
+        den_sign, den_cert = prove_sign(deriv.denominator, (a, b), max_l, mode)
+    except SearchExhaustedError as exc:
+        raise MonotonicityUnprovenError(
+            f"neither sign certified up to max_l = {max_l}: {exc}"
+        ) from exc
     slope = num_sign * den_sign
     monotone = INCREASING if slope > 0 else DECREASING
 
@@ -449,7 +426,6 @@ def substitute_alpha(fam: ParamExpFamily, alpha0) -> AlphaSubstitution:
         return AlphaSubstitution(pure=pure, offsets=(), stretch=1)
 
     by_w: dict[Fraction, list] = {}
-    qs: list[Fraction] = []
     for t in fam.terms:
         q = alpha0 * t.u
         if q < 0:
@@ -457,14 +433,13 @@ def substitute_alpha(fam: ParamExpFamily, alpha0) -> AlphaSubstitution:
                 "alpha0*u < 0 produces a growing exponential; not supported"
             )
         coeff = t.c * alpha0**t.r
-        w = alpha0 * t.v
-        by_w.setdefault(w, []).append((coeff, t.p, q))
-        qs.append(q)
-    stretch = lcm(1, *(q.denominator for q in qs)) if qs else 1
+        by_w.setdefault(alpha0 * t.v, []).append((coeff, t.p, q))
+    ws = sorted(by_w)
+    stretch, groups = _stretch([by_w[w] for w in ws])
     pure = Mep()
     offsets = []
-    for w in sorted(by_w):
-        mep = _rescale_with(by_w[w], stretch)
+    for w, terms in zip(ws, groups):
+        mep = Mep(terms)
         if w == 0:
             pure = mep
         elif not mep.is_zero:
@@ -507,23 +482,14 @@ def _member_sign_evidence(
     step = (hi - lo) / (samples + 1)
     for i in range(1, samples + 1):
         z = lo + i * step
-        sums: dict[Fraction, Fraction] = {}
-        blocks = ((Fraction(0), sub.pure),) + sub.offsets
-        for w, mep in blocks:
+        sums: ExpSum = {}
+        for w, mep in ((Fraction(0), sub.pure),) + sub.offsets:
             for t in mep.terms:
-                s = -t.q * z - w
-                c = t.alpha * z**t.p
-                nc = sums.get(s, Fraction(0)) + c
-                if nc == 0:
-                    sums.pop(s, None)
-                else:
-                    sums[s] = nc
+                sums = _sum_add(sums, {-t.q * z - w: t.alpha * z**t.p}, 1)
         if not sums:
             continue  # exact zero: acceptable for the non-strict cascade
-        denom = lcm(1, *(s.denominator for s in sums))
-        lau = {int(s * denom): c for s, c in sums.items()}
         try:
-            box = lau_enclosure(lau, denom, eps)
+            box = lau_enclosure(sums, eps)
         except BudgetExceededError:
             return False, f"enclosure budget exhausted at z = {z}"
         sgn = box.definite_sign()
@@ -680,24 +646,17 @@ def grid_check(
         for av in as_:
             point = {"x": xv, "a": av}
             try:
-                diff = exp_sum_at(ineq.left, point)
+                left = exp_sum_at(ineq.left, point)
                 right = exp_sum_at(ineq.right, point)
             except LoweringError:
                 undecided.append((xv, av))
                 continue
-            for k, c in right.items():
-                nc = diff.get(k, Fraction(0)) - c
-                if nc == 0:
-                    diff.pop(k, None)
-                else:
-                    diff[k] = nc
+            diff = _sum_add(left, right, -1)
             if not diff:
                 (fails if strict else holds).append((xv, av))
                 continue
-            denom = exp_sum_denominator(diff)
-            lau = {int(s * denom): c for s, c in diff.items()}
             try:
-                box = lau_enclosure(lau, denom, eps)
+                box = lau_enclosure(diff, eps)
             except BudgetExceededError:
                 undecided.append((xv, av))
                 continue

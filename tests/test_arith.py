@@ -9,19 +9,14 @@ import pytest
 from expocert.arith import (
     ConstExpr,
     RationalInterval,
+    _common_denominator,
+    _sum_add,
+    _sum_mul,
+    _sum_reciprocal,
     decimal_str,
-    enclose_const,
     enclose_exp_neg,
     exp_enclosure,
-    exp_neg_taylor,
-    lau_add,
     lau_enclosure,
-    lau_from_term,
-    lau_is_zero,
-    lau_mul,
-    lau_scale,
-    lau_sign,
-    lau_sub,
 )
 from expocert.errors import DivisionByPossiblyZeroError, PreconditionError
 
@@ -71,11 +66,10 @@ def test_interval_power_and_sign():
         spans.reciprocal()
 
 
-def test_intersect_hull_round():
+def test_intersect_and_round():
     a = RationalInterval(F(0), F(2))
     b = RationalInterval(F(1), F(3))
     assert a.intersect(b) == RationalInterval(F(1), F(2))
-    assert a.hull(b) == RationalInterval(F(0), F(3))
     with pytest.raises(PreconditionError):
         a.intersect(RationalInterval(F(5), F(6)))
     rng = random.Random(3)
@@ -85,13 +79,6 @@ def test_intersect_hull_round():
         r = iv.outward_round(16)
         assert r.lo <= iv.lo and iv.hi <= r.hi
         assert r.lo.denominator <= 2**16 and r.hi.denominator <= 2**16
-
-
-def test_exp_neg_taylor_partial_sums():
-    assert exp_neg_taylor(0, F(1)) == 1
-    assert exp_neg_taylor(1, F(1)) == 0
-    assert exp_neg_taylor(2, F(1)) == F(1, 2)
-    assert exp_neg_taylor(3, F(2)) == 1 - 2 + 2 - F(8, 6)
 
 
 def test_enclose_exp_neg():
@@ -155,11 +142,11 @@ def test_application_constants_decimals():
     e = ConstExpr.e()
     one = ConstExpr.rational(1)
     A = (e * e - 3 * e + one) / (e * e - 2 * e + one)
-    box = enclose_const(A, F(1, 10**9))
+    box = A.enclosure(F(1, 10**9))
     assert decimal_str(box.midpoint, 6) == "0.079326"
     twelve = ConstExpr.rational(F(1, 12))
     p0 = (A + twelve) / 2
-    box = enclose_const(p0, F(1, 10**9))
+    box = p0.enclosure(F(1, 10**9))
     assert decimal_str(box.midpoint, 6) == "0.081329"
 
 
@@ -171,38 +158,49 @@ def test_const_expr_text_round_shape():
 
 
 def test_lau_helpers():
-    a = lau_from_term(F(2), 1)        # 2 e^(k/D)
-    b = lau_from_term(F(-2), 1)
-    assert lau_is_zero(lau_add(a, b))
-    assert lau_sub(a, a) == {}
-    assert lau_scale(a, F(1, 2)) == {1: F(1)}
-    assert lau_scale(a, 0) == {}
-    # (e + 1)(e - 1) = e^2 - 1
-    p = lau_add(lau_from_term(F(1), 1), lau_from_term(F(1), 0))
-    q = lau_add(lau_from_term(F(1), 1), lau_from_term(F(-1), 0))
-    assert lau_mul(p, q) == {2: F(1), 0: F(-1)}
+    a = {F(1): F(2)}  # 2 e
+    assert _sum_add(a, {F(1): F(-2)}, 1) == {}  # cancellation drops the key
+    assert _sum_add(a, a, -1) == {}
+    assert _sum_add(a, {F(0): F(3)}, -1) == {F(1): F(2), F(0): F(-3)}
+    # (e^s + 1)(e^s - 1) = e^(2s) - 1
+    s = F(1, 3)
+    p = {s: F(1), F(0): F(1)}
+    q = {s: F(1), F(0): F(-1)}
+    assert _sum_mul(p, q) == {2 * s: F(1), F(0): F(-1)}
+    assert _sum_mul(p, {}) == {}
+    assert _sum_reciprocal({F(-1, 2): F(4)}) == {F(1, 2): F(1, 4)}
+    # D puts every exponent on the lattice of e^(1/D)
+    assert _common_denominator({F(-3, 2): F(2), F(-1, 2): F(-1), F(0): F(1)}) == 2
+    assert _common_denominator({F(0): F(5)}) == 1
+    assert _common_denominator([F(1, 4), F(5, 6)]) == 12
 
 
 def test_lau_sign_and_enclosure():
     # e - 3 < 0 < e - 2
-    assert lau_sign({1: F(1), 0: F(-3)}, 1) == -1
-    assert lau_sign({1: F(1), 0: F(-2)}, 1) == 1
-    assert lau_sign({}, 1) == 0
-    box = lau_enclosure({1: F(1)}, 1, F(1, 10**12))
+    assert lau_enclosure({F(1): F(1), F(0): F(-3)}, F(1, 10)).definite_sign() == -1
+    assert lau_enclosure({F(1): F(1), F(0): F(-2)}, F(1, 10)).definite_sign() == 1
+    box = lau_enclosure({F(1): F(1)}, F(1, 10**12))
     assert contains_ref(box, E_REF)
     assert box.width < F(1, 10**12)
-    assert lau_enclosure({}, 4, F(1, 10)) == RationalInterval.point(0)
-    # negative k uses reciprocal powers: e^(-1/2), squared check
-    half = lau_enclosure({-1: F(1)}, 2, F(1, 10**9))
+    assert lau_enclosure({}, F(1, 10)) == RationalInterval.point(0)
+    # a negative fractional exponent uses reciprocal powers: e^(-1/2) squared
+    half = lau_enclosure({F(-1, 2): F(1)}, F(1, 10**9))
     sq = half * half
     assert contains_ref(sq, EXP_NEG1_REF)
+    root_e = lau_enclosure({F(1, 2): F(1)}, F(1, 10**9))
+    assert contains_ref(root_e * root_e, E_REF)
+    # e^(1/2) e^(1/3) share the one tau = e^(1/6)
+    box = lau_enclosure({F(1, 2): F(1), F(1, 3): F(-1)}, F(1, 10**9))
+    assert box.definite_sign() == 1 and box.width < F(1, 10**9)
+    with pytest.raises(PreconditionError):
+        lau_enclosure({F(1): F(1)}, F(0))
 
 
 def test_lau_enclosure_tightening_is_consistent():
     # a decided sign stays the same sign as eps shrinks
-    term = {3: F(1), 0: F(-4)}  # e^(3/2) - 4 = 0.4816...
-    s1 = lau_enclosure(term, 2, F(1, 10**3)).definite_sign()
-    s2 = lau_enclosure(term, 2, F(1, 10**25)).definite_sign()
+    term = {F(3, 2): F(1), F(0): F(-4)}  # e^(3/2) - 4 = 0.4816...
+    s1 = lau_enclosure(term, F(1, 10**3)).definite_sign()
+    s2 = lau_enclosure(term, F(1, 10**25)).definite_sign()
     assert s1 == s2 == 1
 
 

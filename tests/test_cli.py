@@ -90,6 +90,23 @@ def test_prove_stretch_reduces_and_scales_witness(capsys):
     assert F(0) < F(data["witness"]["x"]) < F(1)
 
 
+def test_prove_exact_zero_at_midpoint(capsys):
+    # (x - 1/2)^2 vanishes at the midpoint: a strict claim is disproven there
+    assert cli.run(["prove", "x^2 - x + 1/4 > 0", "--on", "0,1"]) == 1
+    assert capsys.readouterr().out == (
+        "disproven: at x = 1/2 the reduced form is exactly zero\n"
+    )
+    assert cli.run(["prove", "x^2 - x + 1/4 > 0", "--on", "0,1", "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data == {
+        "result": "disproven",
+        "witness": {"x": "1/2", "reduced_value": ["0", "0"]},
+    }
+    # the non-strict claim is true; the search still cannot prove it
+    assert cli.run(["prove", "x^2 - x + 1/4 >= 0", "--on", "0,1"]) == 2
+    assert "undecided" in capsys.readouterr().err
+
+
 def test_prove_denominator_sign_unknown(capsys):
     code = cli.run(["prove", "x/(1 - 2*x) > 0", "--on", "0,1"])
     assert code == 2

@@ -10,7 +10,6 @@ from expocert.expr import (
     EXPONENT_CAP,
     Node,
     exp_sum_at,
-    exp_sum_denominator,
     lower_to_quotient,
     node_text,
     parse_expression,
@@ -210,6 +209,14 @@ def test_lowering_fractional_rates_stretch():
     q, stretch = to_exp_rational(parse_expression("exp(-x/2) - x"))
     assert stretch == 2
     assert q.numerator == Mep([(1, 0, 1), (-2, 1, 0)])
+    # coefficients of x^p pick up the stretch factor v^p
+    q, stretch = to_exp_rational(parse_expression("x^2*exp(-3*x/2)"))
+    assert stretch == 2 and q.numerator == Mep([(4, 2, 3)])
+    # numerator and denominator share one stretch
+    q, stretch = to_exp_rational(parse_expression("exp(-x/2)/(1 + exp(-x/3))"))
+    assert stretch == 6
+    assert q.numerator == Mep([(1, 0, 3)])
+    assert q.denominator == Mep([(1, 0, 0), (1, 0, 2)])
 
 
 def test_lowering_quotient_shape():
@@ -243,8 +250,6 @@ def test_exp_sum_at_points():
     assert exp_sum_at(parse_expression("exp(x)/exp(a)"), pt) == {F(7, 2): F(1)}
     combo = exp_sum_at(parse_expression("2*exp(a*x) - exp(-x) + 1"), pt)
     assert combo == {F(-3, 2): F(2), F(-1, 2): F(-1), F(0): F(1)}
-    assert exp_sum_denominator(combo) == 2
-    assert exp_sum_denominator({F(0): F(5)}) == 1
 
 
 def test_exp_sum_division_limits():

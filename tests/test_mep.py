@@ -13,7 +13,6 @@ from expocert.mep import (
     differentiate_quotient,
     eval_enclosure,
     normalize,
-    rescale_rational_q,
 )
 from expocert.poly import Polynomial
 
@@ -104,19 +103,6 @@ def test_normalize_preserves_sign_pointwise():
         # with a positive quantity, so only the sign is comparable
         assert a.definite_sign() != 0 or a.width < F(1, 10**18)
     del direct
-
-
-def test_rescale_rational_q():
-    mep, iv = rescale_rational_q([(1, 0, F(1, 2))], (F(0), F(2)))
-    assert mep == Mep([(1, 0, 1)])
-    assert iv == (F(0), F(1))
-    # coefficients of x^p pick up the stretch factor v^p
-    mep, iv = rescale_rational_q([(1, 2, F(3, 2))], (F(0), F(1)))
-    assert mep == Mep([(4, 2, 3)])
-    assert iv == (F(0), F(1, 2))
-    # integer q passes through with v = 1
-    mep, iv = rescale_rational_q(G_TERMS, (F(0), F(1)))
-    assert mep == Mep(G_TERMS) and iv == (F(0), F(1))
 
 
 def test_quotient_rule_crossmultiplied():

@@ -6,13 +6,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from expocert import cli
+from expocert.arith import ConstExpr
 from expocert.errors import (
     DegenerateInputError,
+    DenominatorSignUnknownError,
     MalformedCertificateError,
+    MonotonicityUnprovenError,
     PreconditionError,
     SearchExhaustedError,
 )
-from expocert.mep import Mep, eval_enclosure
+from expocert.mep import ExpRational, Mep, eval_enclosure
 from expocert.poly import Polynomial
 from expocert.prover import (
     GROUPED,
@@ -25,11 +29,13 @@ from expocert.prover import (
     lower_bound_poly,
     minimize_assignment,
     prove_positive,
+    prove_sign,
     upper_bound_poly,
     uniform_assignment,
     verify_certificate,
     verify_certificate_report,
 )
+from expocert.stratify import AffineFamily, analyze_affine_family
 from expocert.taylor import maclaurin
 
 G_TERMS = [(2, 0, 0), (-6, 0, 1), (-1, 3, 1), (6, 0, 2), (-1, 3, 2), (-2, 0, 3)]
@@ -261,3 +267,35 @@ def test_certificate_polynomial_matches_orders():
     for e, u in zip(cert.assignment, units):
         total = total + u.poly * maclaurin(e.theta, u.q).poly
     assert total == cert.poly
+
+
+def test_prove_sign_directions_and_error_mappings():
+    half = (F(0), F(1, 2))
+    one_minus_x = Mep([(1, 0, 0), (-1, 1, 0)])
+    sign, cert = prove_sign(one_minus_x, half, 3, PER_TERM)
+    assert sign == 1 and cert.input == "1 - x > 0"
+    sign, cert = prove_sign(-one_minus_x, half, 3, PER_TERM)
+    assert sign == -1 and cert.input == "1 - x > 0"
+    with pytest.raises(DegenerateInputError, match="expression is identically zero"):
+        prove_sign(Mep(), half, 3, PER_TERM)
+    # 1 - 2x changes sign at 1/2: both directions fail, the last error is raised
+    crossing = Mep([(1, 0, 0), (-2, 1, 0)])
+    with pytest.raises(SearchExhaustedError, match="pure polynomial part"):
+        prove_sign(crossing, UNIT, 3, PER_TERM)
+    # a denominator of unknown sign, and a derivative of unknown sign
+    quotient = ExpRational(Mep([(1, 1, 0)]), crossing)
+    with pytest.raises(
+        DenominatorSignUnknownError,
+        match=r"^sign of the denominator 1 - 2\*x on the interval could not "
+        r"be certified up to max_l = 3$",
+    ):
+        cli._clear_denominator(quotient, UNIT, 3, PER_TERM)
+    zero = ConstExpr.rational(0)
+    fam = AffineFamily(ExpRational(Mep([(1, 1, 0), (-1, 2, 0)]), Mep.constant(1)),
+                       UNIT, zero, zero)
+    with pytest.raises(
+        MonotonicityUnprovenError,
+        match=r"^neither sign certified up to max_l = 3: no valid bound up to "
+        r"l = 0 \(last P had 1 interior roots\): pure polynomial part is not positive$",
+    ):
+        analyze_affine_family(fam, max_l=3)
