@@ -10,6 +10,7 @@ from expocert.mep import (
     ExpRational,
     Mep,
     MepTerm,
+    _stretch,
     differentiate_quotient,
     eval_enclosure,
     normalize,
@@ -103,6 +104,23 @@ def test_normalize_preserves_sign_pointwise():
         # with a positive quantity, so only the sign is comparable
         assert a.definite_sign() != 0 or a.width < F(1, 10**18)
     del direct
+
+
+def test_rescale_rational_q():
+    # x = v*z turns rational exponential rates into integers; an
+    # x-interval (a, b) becomes (a/v, b/v)
+    v, (terms,) = _stretch([[(1, 0, F(1, 2))]])
+    assert v == 2 and Mep(terms) == Mep([(1, 0, 1)])
+    assert (F(0) / v, F(2) / v) == (F(0), F(1))
+    # coefficients of x^p pick up the stretch factor v^p
+    v, (terms,) = _stretch([[(1, 2, F(3, 2))]])
+    assert v == 2 and Mep(terms) == Mep([(4, 2, 3)])
+    # integer q passes through with v = 1
+    v, (terms,) = _stretch([G_TERMS])
+    assert v == 1 and Mep(terms) == Mep(G_TERMS)
+    # sums that share the variable share one stretch
+    v, (a, b) = _stretch([[(1, 0, F(1, 2))], [(1, 0, F(1, 3))]])
+    assert v == 6 and Mep(a) == Mep([(1, 0, 3)]) and Mep(b) == Mep([(1, 0, 2)])
 
 
 def test_quotient_rule_crossmultiplied():
