@@ -28,8 +28,6 @@ from .errors import (
 )
 from .poly import Polynomial, poly_gcd
 
-Q = Fraction
-
 MACLAURIN_ORDER_CAP = 200
 
 
@@ -71,9 +69,6 @@ class RationalInterval:
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, v) -> bool:
-        return self.lo <= _rat(v) <= self.hi
-
     def definite_sign(self) -> int:
         """+1 or -1 when the interval excludes zero, else 0 (undecided)."""
         if self.lo > 0:
@@ -109,10 +104,6 @@ class RationalInterval:
         if c >= 0:
             return RationalInterval(self.lo * c, self.hi * c)
         return RationalInterval(self.hi * c, self.lo * c)
-
-    def shift(self, c) -> "RationalInterval":
-        c = _rat(c)
-        return RationalInterval(self.lo + c, self.hi + c)
 
     def reciprocal(self) -> "RationalInterval":
         if self.definite_sign() == 0:
@@ -167,10 +158,10 @@ class RationalInterval:
 # the exp(-t) bracket
 
 
-def enclose_exp_neg(t, eps, m_min: int = 1, m_force: int | None = None) -> RationalInterval:
+def enclose_exp_neg(t, eps, m_force: int | None = None) -> RationalInterval:
     """Enclose exp(-t) for rational t >= 0 in [T_{2m-1}(t), T_{2m}(t)].
 
-    m is the smallest index >= m_min that makes the bracket width
+    m is the smallest index that makes the bracket width
     t^(2m)/(2m)! smaller than eps, unless m_force pins it. t = 0 gives
     the exact point [1, 1].
 
@@ -206,7 +197,7 @@ def enclose_exp_neg(t, eps, m_min: int = 1, m_force: int | None = None) -> Ratio
             if m == m_force:
                 return RationalInterval(lo, hi)
             continue
-        if m >= m_min and term < eps:
+        if term < eps:
             return RationalInterval(lo, hi)
 
 
@@ -332,10 +323,7 @@ class ConstExpr:
                 if n.is_zero:
                     raise DivisionByPossiblyZeroError("negative power of exact zero")
                 n, d, k = d, n, -k
-            rn, rd = one, one
-            for _ in range(k):
-                rn, rd = rn * n, rd * d
-            return rn, rd
+            return n**k, d**k
         a_n, a_d = self.args[0]._raw_fraction()
         b_n, b_d = self.args[1]._raw_fraction()
         if self.op == "add":
@@ -352,11 +340,6 @@ class ConstExpr:
 
     def is_zero(self) -> bool:
         return self.e_fraction()[0].is_zero
-
-    def equals(self, other: "ConstExpr") -> bool:
-        an, ad = self.e_fraction()
-        bn, bd = other.e_fraction()
-        return an * bd == bn * ad
 
     # numeric view --------------------------------------------------------
 

@@ -36,7 +36,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     SearchExhaustedError,
-    SignIndeterminateError,
 )
 from .expr import (
     Node,
@@ -50,6 +49,7 @@ from .expr import (
 from .mep import ExpRational, Mep, eval_enclosure
 from .prover import (
     DEFAULT_MAX_L,
+    FALSIFY_EPS,
     GROUPED,
     PER_TERM,
     Certificate,
@@ -134,6 +134,45 @@ def _clear_denominator(
     return (num if sgn > 0 else -num), cert
 
 
+def _counterexample(f, interval, verdict: ExpocertError) -> NegativeWitness | None:
+    """The counterexample scan, run once the proof attempt ended in
+    `verdict`. A scanned point where a quotient has a pole yields no
+    witness; a scan that runs out of enclosure budget leaves the claim
+    undecided with an error that names both budgets."""
+    try:
+        return falsify(f, interval)
+    except DenominatorSignUnknownError:
+        return None
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"{verdict}; the counterexample scan then stopped: {exc}"
+        ) from exc
+
+
+def _print_disproof(witness: NegativeWitness, stretch: int, as_json: bool) -> int:
+    x_orig = witness.x * stretch
+    if as_json:
+        print(json.dumps({
+            "result": "disproven",
+            "witness": {
+                "x": str(x_orig),
+                "reduced_value": [
+                    str(witness.enclosure.lo),
+                    str(witness.enclosure.hi),
+                ],
+            },
+        }))
+    elif witness.enclosure.hi == 0:
+        print(f"disproven: at x = {x_orig} the reduced form is exactly zero")
+    else:
+        print(
+            f"disproven: at x = {x_orig} the reduced form is certified "
+            f"negative, enclosure [{witness.enclosure.lo}, "
+            f"{witness.enclosure.hi}]"
+        )
+    return 1
+
+
 def _cmd_prove(ns) -> int:
     ineq = parse_inequality(ns.inequality)
     _single_variable(ineq.left, "prove")
@@ -157,44 +196,41 @@ def _cmd_prove(ns) -> int:
         print(f"holds with equality: both sides of {ineq.text()} are identical")
         return 0
 
-    f, den_cert = _clear_denominator(quotient, (za, zb), ns.max_l, mode)
+    try:
+        f, den_cert = _clear_denominator(quotient, (za, zb), ns.max_l, mode)
+    except DenominatorSignUnknownError as exc:
+        # the quotient has the sign of the claim, so a false claim can
+        # still be disproven without the denominator's sign
+        witness = _counterexample(quotient, (za, zb), exc)
+        if witness is None:
+            raise
+        return _print_disproof(witness, stretch, ns.json)
     try:
         cert = prove_positive(f, (za, zb), ns.max_l, mode)
         if ns.minimize:
             cert = minimize_assignment(f, (za, zb), cert)
     except SearchExhaustedError as exc:
-        witness = falsify(f, (za, zb))
-        if witness is None and ineq.strict:
-            # a strict claim also fails where the reduced form is exactly
-            # zero, as a polynomial input can be at the midpoint
+        witness = _counterexample(f, (za, zb), exc)
+        if witness is None:
+            # the reduced form can be exactly zero at the midpoint, as a
+            # polynomial input can: a strict claim fails there, and a
+            # non-strict one is a tie the method cannot certify
             mid = (za + zb) / 2
-            box = eval_enclosure(f, mid, Fraction(1, 10**12))
+            box = eval_enclosure(f, mid, FALSIFY_EPS)
             if box.lo == box.hi == 0:
+                if not ineq.strict:
+                    print(
+                        f"undecided: both sides are exactly equal at "
+                        f"x = {mid * stretch}, and only strict positivity "
+                        f"is certified",
+                        file=sys.stderr,
+                    )
+                    return 2
                 witness = NegativeWitness(x=mid, enclosure=box)
-        if witness is not None:
-            x_orig = witness.x * stretch
-            if ns.json:
-                print(json.dumps({
-                    "result": "disproven",
-                    "witness": {
-                        "x": str(x_orig),
-                        "reduced_value": [
-                            str(witness.enclosure.lo),
-                            str(witness.enclosure.hi),
-                        ],
-                    },
-                }))
-            elif witness.enclosure.hi == 0:
-                print(f"disproven: at x = {x_orig} the reduced form is exactly zero")
-            else:
-                print(
-                    f"disproven: at x = {x_orig} the reduced form is certified "
-                    f"negative, enclosure [{witness.enclosure.lo}, "
-                    f"{witness.enclosure.hi}]"
-                )
-            return 1
-        print(f"undecided: {exc}", file=sys.stderr)
-        return 2
+        if witness is None:
+            print(f"undecided: {exc}", file=sys.stderr)
+            return 2
+        return _print_disproof(witness, stretch, ns.json)
 
     if ns.cert:
         with open(ns.cert, "w") as fh:
@@ -444,7 +480,6 @@ def run(argv=None) -> int:
         DenominatorSignUnknownError,
         MonotonicityUnprovenError,
         EndpointValidationError,
-        SignIndeterminateError,
         BudgetExceededError,
         DegenerateInputError,
     ) as exc:

@@ -91,7 +91,3 @@ class EndpointValidationError(ExpocertError):
     """The supplied endpoint limit value failed the shrinking-delta
     consistency check against certified enclosures of the family."""
 
-
-class SignIndeterminateError(ExpocertError):
-    """An enclosure still straddles 0 at the tightest budgeted precision,
-    so the sign cannot be certified."""

@@ -42,8 +42,6 @@ from .errors import (
 )
 from .mep import ExpRational, _stretch, normalize
 
-Q = Fraction
-
 EXPONENT_CAP = 10_000
 
 
@@ -472,7 +470,7 @@ def to_const(node: Node) -> ConstExpr:
         return ConstExpr.e() ** int(v)
     if node.op == "sign":
         # argument is exp/e-free, so it has an exact rational value
-        val = _rational_value(node.args[0])
+        val = _exp_sum_rational(exp_sum_at(node.args[0], {}))
         s = 0 if val == 0 else (1 if val > 0 else -1)
         return ConstExpr.rational(s)
     if node.op == "neg":
@@ -490,34 +488,6 @@ def to_const(node: Node) -> ConstExpr:
     if node.op == "div":
         return a / b
     raise LoweringError(f"unknown node {node.op!r}")
-
-
-def _rational_value(node: Node) -> Fraction:
-    if node.op == "rat":
-        return node.value
-    if node.op == "neg":
-        return -_rational_value(node.args[0])
-    if node.op == "pow":
-        base = _rational_value(node.args[0])
-        if node.value < 0 and base == 0:
-            raise LoweringError("zero to a negative power")
-        return base**node.value
-    if node.op in ("add", "sub", "mul", "div"):
-        a = _rational_value(node.args[0])
-        b = _rational_value(node.args[1])
-        if node.op == "add":
-            return a + b
-        if node.op == "sub":
-            return a - b
-        if node.op == "mul":
-            return a * b
-        if b == 0:
-            raise LoweringError("division by zero")
-        return a / b
-    if node.op == "sign":
-        v = _rational_value(node.args[0])
-        return Fraction(0 if v == 0 else (1 if v > 0 else -1))
-    raise LoweringError(f"{node.op!r} has no exact rational value")
 
 
 # ---------------------------------------------------------------------------
@@ -658,15 +628,8 @@ def exp_sum_at(node: Node, point: dict[str, Fraction]) -> ExpSum:
     if node.op == "e":
         return {Fraction(1): Fraction(1)}
     if node.op == "exp":
-        form = _linear_form(node.args[0], 0)
-        s = Fraction(0)
-        for (i, j), c in form.items():
-            s += (
-                c
-                * (point.get("x", Fraction(0)) ** i)
-                * (point.get("a", Fraction(0)) ** j)
-            )
-        return {s: Fraction(1)}
+        # the argument is linear, so its value here is an exact rational
+        return {_exp_sum_rational(exp_sum_at(node.args[0], point)): Fraction(1)}
     if node.op == "sign":
         v = _exp_sum_rational(exp_sum_at(node.args[0], point))
         s = 0 if v == 0 else (1 if v > 0 else -1)

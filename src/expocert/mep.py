@@ -34,8 +34,6 @@ from .errors import (
 )
 from .poly import Polynomial
 
-Q = Fraction
-
 
 @dataclass(frozen=True)
 class MepTerm:
@@ -110,10 +108,6 @@ class Mep:
         raise AttributeError("Mep is immutable")
 
     @classmethod
-    def from_polynomial(cls, poly: Polynomial, q: int = 0) -> "Mep":
-        return cls([(c, p, q) for p, c in enumerate(poly.coeffs) if c != 0])
-
-    @classmethod
     def constant(cls, c) -> "Mep":
         return cls([(c, 0, 0)])
 
@@ -179,9 +173,6 @@ class Mep:
             poly = Polynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
             out.append((q, poly))
         return out
-
-    def max_q(self) -> int:
-        return max((t.q for t in self.terms), default=0)
 
     def text(self) -> str:
         if not self.terms:

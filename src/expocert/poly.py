@@ -19,8 +19,6 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ZeroPolynomialError
 
-Q = Fraction
-
 
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
@@ -126,16 +124,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose_linear(self, q) -> "Polynomial":
-        """P(q*x): substitute a rational multiple of x for x."""
-        q = _as_fraction(q)
-        out = []
-        qi = Fraction(1)
-        for c in self.coeffs:
-            out.append(c * qi)
-            qi *= q
-        return Polynomial(out)
-
     def eval(self, x) -> Fraction:
         """Exact value at a rational point (Horner)."""
         x = _as_fraction(x)
@@ -169,9 +157,6 @@ class Polynomial:
         return Polynomial(quot), Polynomial(rem)
 
     __divmod__ = divmod
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return self.divmod(other)[1]
@@ -310,10 +295,6 @@ class SturmChain:
         self.poly = squarefree
         self.chain = tuple(chain)
 
-    @classmethod
-    def of(cls, p: Polynomial) -> "SturmChain":
-        return cls(squarefree_part(p))
-
     def variations_at(self, t) -> int:
         t = _as_fraction(t)
         count = 0
@@ -328,12 +309,9 @@ class SturmChain:
             prev = s
         return count
 
-    def roots_in_halfopen(self, a, b) -> int:
-        """Distinct roots in (a, b]."""
-        return self.variations_at(a) - self.variations_at(b)
-
     def roots_in_open(self, a, b) -> int:
-        n = self.roots_in_halfopen(a, b)
+        """Distinct roots in (a, b): those in (a, b], less a root at b."""
+        n = self.variations_at(a) - self.variations_at(b)
         if self.poly.eval(b) == 0:
             n -= 1
         return n
@@ -346,7 +324,7 @@ def count_roots_open(p: Polynomial, a, b) -> int:
     a, b = _as_fraction(a), _as_fraction(b)
     if not a < b:
         raise PreconditionError("need a < b")
-    return SturmChain.of(p).roots_in_open(a, b)
+    return SturmChain(squarefree_part(p)).roots_in_open(a, b)
 
 
 def is_positive_on(p: Polynomial, a, b) -> bool:
@@ -364,30 +342,3 @@ def is_positive_on(p: Polynomial, a, b) -> bool:
         return False
     return p.eval((a + b) / 2) > 0
 
-
-def isolate_root(p: Polynomial, a, b, eps) -> tuple[Fraction, Fraction]:
-    """Shrink (a, b) around its unique interior root to width < eps.
-
-    Bisection driven by Sturm counts on the squarefree part; if a midpoint
-    happens to hit the root exactly, the returned interval is degenerate.
-    """
-    a, b = _as_fraction(a), _as_fraction(b)
-    eps = _as_fraction(eps)
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    if p.is_zero:
-        raise ZeroPolynomialError("root isolation needs a nonzero polynomial")
-    sf = squarefree_part(p)
-    chain = SturmChain(sf)
-    if chain.roots_in_open(a, b) != 1:
-        raise PreconditionError("interval must contain exactly one distinct root")
-    lo, hi = a, b
-    while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        if sf.eval(mid) == 0:
-            return mid, mid
-        if chain.roots_in_open(lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi

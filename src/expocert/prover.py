@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import (
     DegenerateInputError,
@@ -29,14 +29,16 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from .mep import Mep, eval_enclosure
+from .mep import ExpRational, Mep, eval_enclosure
 from .poly import Polynomial, SturmChain, is_positive_on, squarefree_part
 from .taylor import maclaurin, select_order
 from .arith import RationalInterval
 
-Q = Fraction
-
 DEFAULT_MAX_L = 20
+
+# the counterexample scan: interior points tried, and the enclosure width
+FALSIFY_SAMPLES = 40
+FALSIFY_EPS = Fraction(1, 10**12)
 
 PER_TERM = "per-term"
 GROUPED = "grouped"
@@ -175,14 +177,14 @@ def bounding_units(
 
 
 def lower_bound_poly(
-    f: Mep, interval, assignment: Sequence[AssignmentEntry], mode: str = PER_TERM
+    f: Mep, interval, assignment: Sequence[AssignmentEntry]
 ) -> Polynomial:
     """The polynomial P with f > P on the interval (f = P when exponential-
-    free). Each unit contributes poly * T_theta(q x); parity of theta
-    against the unit sign is enforced, since that is what makes the
-    substitution one-sided.
+    free), with per-term units. Each unit contributes poly * T_theta(q x);
+    parity of theta against the unit sign is enforced, since that is what
+    makes the substitution one-sided.
     """
-    units, passthrough = bounding_units(f, interval, mode)
+    units, passthrough = bounding_units(f, interval, PER_TERM)
     if len(assignment) != len(units):
         raise PreconditionError(
             f"assignment covers {len(assignment)} units, need {len(units)}"
@@ -198,14 +200,14 @@ def lower_bound_poly(
 
 
 def upper_bound_poly(
-    f: Mep, interval, assignment: Sequence[AssignmentEntry], mode: str = PER_TERM
+    f: Mep, interval, assignment: Sequence[AssignmentEntry]
 ) -> Polynomial:
     """Mirror image: a polynomial above f, via lower-bounding -f.
 
     Order parities are therefore judged against the negated coefficients:
     a positive term here takes an even order.
     """
-    return -lower_bound_poly(-f, interval, assignment, mode)
+    return -lower_bound_poly(-f, interval, assignment)
 
 
 def uniform_assignment(units: Sequence[BoundUnit], l: int) -> tuple[AssignmentEntry, ...]:
@@ -377,22 +379,20 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
     return best
 
 
-def falsify(
-    f: Mep, interval, samples: int = 40, eps=Fraction(1, 10**12)
-) -> Optional[NegativeWitness]:
+def falsify(f: Union[Mep, ExpRational], interval) -> Optional[NegativeWitness]:
     """Look for a point where f is certifiably negative.
 
-    Scans `samples` equally spaced interior rationals left to right and
-    returns the first whose enclosure lies entirely below zero; None
-    means no disproof found (not a proof of positivity).
+    Scans FALSIFY_SAMPLES equally spaced interior rationals left to right
+    and returns the first whose enclosure lies entirely below zero; None
+    means no disproof found (not a proof of positivity). A quotient whose
+    denominator vanishes at a scanned point raises
+    DenominatorSignUnknownError, as eval_enclosure does.
     """
     a, b = _check_interval(interval)
-    if samples < 1:
-        raise PreconditionError("samples must be >= 1")
-    step = (b - a) / (samples + 1)
-    for i in range(1, samples + 1):
+    step = (b - a) / (FALSIFY_SAMPLES + 1)
+    for i in range(1, FALSIFY_SAMPLES + 1):
         x = a + i * step
-        box = eval_enclosure(f, x, eps)
+        box = eval_enclosure(f, x, FALSIFY_EPS)
         if box.hi < 0:
             return NegativeWitness(x=x, enclosure=box)
     return None

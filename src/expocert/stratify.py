@@ -39,7 +39,6 @@ from .errors import (
     MonotonicityUnprovenError,
     PreconditionError,
     SearchExhaustedError,
-    SignIndeterminateError,
 )
 from .expr import InequalityAst, exp_sum_at
 from .mep import ExpRational, Mep, _stretch, differentiate_quotient, eval_enclosure
@@ -51,10 +50,16 @@ from .prover import (
     prove_sign,
 )
 
-Q = Fraction
-
 DECREASING = "decreasing"
 INCREASING = "increasing"
+
+# width of the reported enclosures of A, B, p0 and d0
+CONSTANT_EPS = Fraction(1, 10**9)
+
+# pointwise evidence for a cascade member that is not an exact MEP:
+# interior points checked, and the enclosure width at each
+EVIDENCE_SAMPLES = 7
+EVIDENCE_EPS = Fraction(1, 10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +160,7 @@ def _validate_endpoint(
         )
 
 
-def analyze_affine_family(
-    fam: AffineFamily,
-    max_l: int = DEFAULT_MAX_L,
-    mode: str = PER_TERM,
-    eps: Fraction = Fraction(1, 10**9),
-) -> FamilyReport:
+def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> FamilyReport:
     """Full pipeline for phi_p = f - p: monotonicity proof, endpoint
     validation, and the equioscillation constants.
 
@@ -179,8 +179,8 @@ def analyze_affine_family(
 
     deriv = differentiate_quotient(fam.f)
     try:
-        num_sign, num_cert = prove_sign(deriv.numerator, (a, b), max_l, mode)
-        den_sign, den_cert = prove_sign(deriv.denominator, (a, b), max_l, mode)
+        num_sign, num_cert = prove_sign(deriv.numerator, (a, b), max_l, PER_TERM)
+        den_sign, den_cert = prove_sign(deriv.denominator, (a, b), max_l, PER_TERM)
     except SearchExhaustedError as exc:
         raise MonotonicityUnprovenError(
             f"neither sign certified up to max_l = {max_l}: {exc}"
@@ -203,7 +203,7 @@ def analyze_affine_family(
     p0_expr = (a_expr + b_expr) / 2
     d0_expr = (b_expr - a_expr) / 2
 
-    w = eps
+    w = CONSTANT_EPS
     while True:
         a_box = a_expr.enclosure(w)
         b_box = b_expr.enclosure(w)
@@ -214,63 +214,12 @@ def analyze_affine_family(
         monotone=monotone,
         A=ConstValue(a_expr, a_box),
         B=ConstValue(b_expr, b_box),
-        p0=ConstValue(p0_expr, p0_expr.enclosure(eps)),
-        d0=ConstValue(d0_expr, d0_expr.enclosure(eps)),
+        p0=ConstValue(p0_expr, p0_expr.enclosure(CONSTANT_EPS)),
+        d0=ConstValue(d0_expr, d0_expr.enclosure(CONSTANT_EPS)),
         derivative_certificate=num_cert,
         denominator_certificate=den_cert,
         derivative_sign=slope,
     )
-
-
-def isolate_crossing(
-    fam: AffineFamily,
-    p,
-    eps,
-    report: Optional[FamilyReport] = None,
-    max_l: int = DEFAULT_MAX_L,
-) -> RationalInterval:
-    """Bracket the unique solution of f(x) = p to width < eps.
-
-    Requires p strictly between the endpoint values (checked exactly
-    against the A and B expressions); bisection then steers by certified
-    signs of f(mid) - p. An exact hit returns a degenerate interval.
-    """
-    p = Fraction(p)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
-    if report is None:
-        report = analyze_affine_family(fam, max_l=max_l)
-    if (report.A.expr - p).sign() >= 0 or (report.B.expr - p).sign() <= 0:
-        raise PreconditionError("p must lie strictly between A and B")
-
-    lo, hi = Fraction(fam.interval[0]), Fraction(fam.interval[1])
-    positive_left = report.monotone == DECREASING
-
-    def sign_at(x: Fraction) -> int:
-        w = min(eps, Fraction(1, 1024))
-        for _ in range(60):
-            box = eval_enclosure(fam.f, x, w).shift(-p)
-            if box.lo == 0 and box.hi == 0:
-                return 0
-            s = box.definite_sign()
-            if s != 0:
-                return s
-            w /= 16
-        raise SignIndeterminateError(
-            f"sign of f({x}) - {p} unresolved at the shrink limit"
-        )
-
-    while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        s = sign_at(mid)
-        if s == 0:
-            return RationalInterval.point(mid)
-        if (s > 0) == positive_left:
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +416,7 @@ class CascadeReport:
 
 
 def _member_sign_evidence(
-    sub: AlphaSubstitution,
-    z_interval: tuple[Fraction, Fraction],
-    samples: int,
-    eps: Fraction,
+    sub: AlphaSubstitution, z_interval: tuple[Fraction, Fraction]
 ) -> tuple[bool, str]:
     """Certified pointwise signs of pure(z) + sum e^(-w) M_w(z).
 
@@ -479,8 +425,8 @@ def _member_sign_evidence(
     by one shared enclosure.
     """
     lo, hi = z_interval
-    step = (hi - lo) / (samples + 1)
-    for i in range(1, samples + 1):
+    step = (hi - lo) / (EVIDENCE_SAMPLES + 1)
+    for i in range(1, EVIDENCE_SAMPLES + 1):
         z = lo + i * step
         sums: ExpSum = {}
         for w, mep in ((Fraction(0), sub.pure),) + sub.offsets:
@@ -489,24 +435,19 @@ def _member_sign_evidence(
         if not sums:
             continue  # exact zero: acceptable for the non-strict cascade
         try:
-            box = lau_enclosure(sums, eps)
+            box = lau_enclosure(sums, EVIDENCE_EPS)
         except BudgetExceededError:
             return False, f"enclosure budget exhausted at z = {z}"
         sgn = box.definite_sign()
         if sgn < 0:
             return False, f"certified negative value at z = {z}"
         if sgn == 0:
-            return False, f"sign unresolved at z = {z} (width < {eps})"
-    return True, f"positive at {samples} interior points"
+            return False, f"sign unresolved at z = {z} (width < {EVIDENCE_EPS})"
+    return True, f"positive at {EVIDENCE_SAMPLES} interior points"
 
 
 def cascade_check(
-    fam: ParamExpFamily,
-    x_interval,
-    alpha_samples: Sequence,
-    max_l: int = DEFAULT_MAX_L,
-    samples: int = 7,
-    eps: Fraction = Fraction(1, 10**12),
+    fam: ParamExpFamily, x_interval, alpha_samples: Sequence
 ) -> CascadeReport:
     """Verify the layered monotonicity pattern in the parameter.
 
@@ -560,7 +501,7 @@ def cascade_check(
                 )
                 continue
             try:
-                cert = prove_positive(sub.pure, z_iv, max_l, PER_TERM)
+                cert = prove_positive(sub.pure, z_iv, DEFAULT_MAX_L, PER_TERM)
                 steps.append(
                     CascadeStep(
                         depth, "proof", alpha0, True,
@@ -572,7 +513,7 @@ def cascade_check(
                     CascadeStep(depth, "proof", alpha0, False, str(exc))
                 )
         else:
-            ok, detail = _member_sign_evidence(sub, z_iv, samples, eps)
+            ok, detail = _member_sign_evidence(sub, z_iv)
             steps.append(CascadeStep(depth, "evidence", alpha0, ok, detail))
     return CascadeReport(steps=tuple(steps), depth=depth)
 

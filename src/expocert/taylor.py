@@ -18,8 +18,6 @@ from .arith import MACLAURIN_ORDER_CAP, RationalInterval, enclose_exp_neg
 from .errors import BudgetExceededError, PreconditionError
 from .poly import Polynomial
 
-Q = Fraction
-
 
 @dataclass(frozen=True)
 class TaylorBound:

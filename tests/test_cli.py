@@ -102,15 +102,54 @@ def test_prove_exact_zero_at_midpoint(capsys):
         "result": "disproven",
         "witness": {"x": "1/2", "reduced_value": ["0", "0"]},
     }
-    # the non-strict claim is true; the search still cannot prove it
+    # the non-strict claim is true, but only strict positivity is certified;
+    # the undecided message names the tie, not a failed search
     assert cli.run(["prove", "x^2 - x + 1/4 >= 0", "--on", "0,1"]) == 2
-    assert "undecided" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "undecided: both sides are exactly equal at x = 1/2, "
+        "and only strict positivity is certified\n"
+    )
 
 
 def test_prove_denominator_sign_unknown(capsys):
-    code = cli.run(["prove", "x/(1 - 2*x) > 0", "--on", "0,1"])
+    # the quotient is 1/2 away from its pole at 1/2, so the claim is true,
+    # but the denominator changes sign and no scanned point is negative
+    code = cli.run(["prove", "(x - 1/2)/(2*x - 1) > 0", "--on", "0,1"])
     assert code == 2
-    assert "undecided" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "undecided: sign of the denominator -1 + 2*x on the interval could "
+        "not be certified up to max_l = 20\n"
+    )
+    # the scan meets the pole at x = 20/41 before any negative point
+    code = cli.run(["prove", "(20 - 41*x)/(20 - 41*x) > 0", "--on", "0,1"])
+    assert code == 2
+    assert "sign of the denominator 20 - 41*x" in capsys.readouterr().err
+
+
+def test_prove_denominator_sign_unknown_counterexample(capsys):
+    # past x = 1/2 the quotient is negative: the claim is disproven even
+    # though the denominator's sign cannot be certified
+    assert cli.run(["prove", "x/(1 - 2*x) > 0", "--on", "0,1"]) == 1
+    assert capsys.readouterr().out == (
+        "disproven: at x = 21/41 the reduced form is certified negative, "
+        "enclosure [-21, -21]\n"
+    )
+    # exp(-x/2) stretches x = 2*z; the witness is reported in x
+    args = ["prove", "exp(-x/2)*x/(1 - 2*x) > 0", "--on", "0,1", "--json"]
+    assert cli.run(args) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["witness"]["x"] == "21/41"
+    assert F(data["witness"]["reduced_value"][1]) < 0
+
+
+def test_prove_scan_budget_names_both_budgets(capsys):
+    # the search exhausts max_l, then the scan hits the enclosure order cap
+    # at x = 5800/41; neither verdict may hide the other
+    assert cli.run(["prove", "exp(-x) > 0", "--on", "0,200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("undecided: no valid bound up to l = 20")
+    assert "the counterexample scan then stopped: exp(-5800/41) not enclosed" in err
+    assert err.rstrip().endswith("within order cap")
 
 
 def test_prove_search_exhausted(capsys):

@@ -21,7 +21,6 @@ from expocert.stratify import (
     analyze_affine_family,
     cascade_check,
     grid_check,
-    isolate_crossing,
     substitute_alpha,
 )
 
@@ -112,31 +111,6 @@ def test_affine_interval_precondition():
     bad = AffineFamily(fam.f, (F(1), F(1)), fam.endpoint_a_value, fam.endpoint_b_value)
     with pytest.raises(PreconditionError):
         analyze_affine_family(bad)
-
-
-def test_isolate_crossing(app_family, app_report):
-    box = isolate_crossing(app_family, F(2, 25), F(1, 10**6), report=app_report)
-    assert box.hi - box.lo < F(1, 10**6)
-    assert F(0) < box.lo and box.hi < F(1)
-    # decreasing f: f > p left of the crossing, f < p right of it
-    left = eval_enclosure(app_family.f, box.lo, F(1, 10**12))
-    right = eval_enclosure(app_family.f, box.hi, F(1, 10**12))
-    assert left.lo > F(2, 25) > right.hi
-
-
-def test_isolate_crossing_exact_hit():
-    fam = _family("1 - x", 0, 1, "1", "0")
-    box = isolate_crossing(fam, F(1, 2), F(1, 10**6))
-    assert box.lo == box.hi == F(1, 2)
-
-
-def test_isolate_crossing_requires_interior_p(app_family, app_report):
-    with pytest.raises(PreconditionError):
-        isolate_crossing(app_family, F(1, 12), F(1, 10**6), report=app_report)
-    with pytest.raises(PreconditionError):
-        isolate_crossing(app_family, F(1, 2), F(1, 10**6), report=app_report)
-    with pytest.raises(PreconditionError):
-        isolate_crossing(app_family, F(2, 25), F(0), report=app_report)
 
 
 # ---------------------------------------------------------------------------
