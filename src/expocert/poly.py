@@ -2,9 +2,22 @@
 
 Dense representation: ``coeffs[i]`` is the coefficient of ``x**i``, always a
 ``fractions.Fraction``, with no trailing zeros (the zero polynomial has an
-empty coefficient tuple). Root counting goes through Sturm chains of the
-squarefree part, so every sign decision is exact; there is no floating
-point anywhere in this module.
+empty coefficient tuple). There is no floating point anywhere in this
+module, so every sign decision is exact.
+
+Deciding signs works on integers. A polynomial is first scaled by a
+positive rational to its primitive integer form; its value at ``n/d`` is
+taken homogeneously as ``d**deg * P(n/d)``, which has the sign of
+``P(n/d)``. ``sample_refutes`` evaluates a polynomial at a few fixed
+rationals of an interval and reports a nonpositive interior value (or a
+negative endpoint value), which settles "not positive" without any
+remainder sequence. Otherwise root counting goes through Sturm chains of
+the squarefree part. The gcd and the Sturm chain use one primitive
+pseudo-remainder sequence: each remainder is computed on integer
+coefficient lists after multiplying by a positive power of the divisor's
+leading coefficient, then reduced to its primitive part. The positive
+factors change no sign, so every member equals the primitive part of the
+exact rational remainder.
 
 Interval conventions: ``count_roots_open`` and ``is_positive_on`` speak
 about the open interval (a, b). Roots exactly at an endpoint are never
@@ -156,11 +169,6 @@ class Polynomial:
                 rem[i - dq + j] -= f * oc
         return Polynomial(quot), Polynomial(rem)
 
-    __divmod__ = divmod
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return self.divmod(other)[1]
-
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise PreconditionError("polynomial powers take n >= 0")
@@ -179,19 +187,10 @@ class Polynomial:
         coefficients; 0 for the zero polynomial."""
         if self.is_zero:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = gcd(num, c.numerator)
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
-
-    def primitive(self) -> "Polynomial":
-        """Divide out the content; the sign of the leading coefficient is
-        preserved (the scaling factor is positive)."""
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.content())
+        return Fraction(
+            gcd(*(c.numerator for c in self.coeffs)),
+            lcm(*(c.denominator for c in self.coeffs)),
+        )
 
     # -- hashing / comparison / display ----------------------------------
 
@@ -234,21 +233,94 @@ class Polynomial:
         return cls([Fraction(s) for s in items])
 
 
+# ---------------------------------------------------------------------------
+# integer coefficient lists: the deciding kernel
+#
+# A list ``cs`` stands for sum cs[i] * x**i, with no trailing zeros. Every
+# list below is a positive multiple of the rational polynomial it stands
+# for, so it has the same roots and the same sign everywhere.
+
+
+def _integer_coeffs(p: Polynomial) -> list[int]:
+    """p / content(p): coprime integers, leading sign kept."""
+    if p.is_zero:
+        return []
+    c = p.content()
+    num, den = c.numerator, c.denominator
+    return [x.numerator // num * (den // x.denominator) for x in p.coeffs]
+
+
+def _primitive(cs: list[int]) -> list[int]:
+    g = gcd(*cs)  # 0 for the empty list
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _value(cs: list[int], x: Fraction) -> int:
+    """d**deg * P(n/d) for x = n/d with d > 0: the sign of P(x), in integers."""
+    n, d = x.numerator, x.denominator
+    acc = 0
+    dk = 1
+    for c in reversed(cs):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Positive multiple of the remainder of a by b (b nonzero).
+
+    Each step scales the running remainder by |lc(b)| / g > 0 and cancels
+    its leading term with an integer multiple of b, where g is the gcd of
+    that leading term and lc(b).
+    """
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        c = r.pop()
+        g = gcd(c, lb)
+        s, f = abs(lb) // g, c // g if lb > 0 else -c // g
+        if s != 1:
+            r = [s * x for x in r]
+        k = len(r) - db
+        r[k:] = [x - f * y for x, y in zip(r[k:], b)]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of primitive lists: primitive, positive leading coefficient
+    ([] if both are zero)."""
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return [-c for c in a] if a and a[-1] < 0 else a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer lists where b divides a with an integer quotient."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    quot = [0] * (len(r) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        f = r[i + db] // lb
+        quot[i] = f
+        if f:
+            for j, y in enumerate(b):
+                r[i + j] -= f * y
+    assert not any(r), "gcd must divide exactly"
+    return quot
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monicized-by-content GCD: primitive, positive leading coefficient.
 
-    Euclidean remainders with primitive-part normalization at every step;
-    positive rescaling keeps the root set and all Sturm sign data intact
-    while stopping coefficient blow-up.
+    The primitive pseudo-remainder sequence of the integer forms; positive
+    rescaling keeps the root set and all Sturm sign data intact while
+    stopping coefficient blow-up.
     """
-    a, b = p.primitive(), q.primitive()
-    while not b.is_zero:
-        a, b = b, (a % b).primitive()
-    if a.is_zero:
-        return a
-    if a.leading < 0:
-        a = -a
-    return a
+    return Polynomial(_gcd(_integer_coeffs(p), _integer_coeffs(q)))
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -259,14 +331,10 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """
     if p.is_zero:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    if p.degree == 0:
-        return p.primitive()
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.primitive()
-    quot, rem = p.divmod(g)
-    assert rem.is_zero, "gcd must divide exactly"
-    return quot.primitive()
+    cs = _integer_coeffs(p)
+    g = _gcd(cs, _integer_coeffs(p.derivative()))
+    # cs = g * h with h integer and primitive (Gauss's lemma)
+    return Polynomial(cs if len(g) == 1 else _exact_quotient(cs, g))
 
 
 class SturmChain:
@@ -274,33 +342,37 @@ class SturmChain:
 
     Sign-variation counts V(t) skip zero entries; for squarefree P and
     a < b, V(a) - V(b) is the number of distinct roots in the half-open
-    interval (a, b]. Each remainder is reduced to its primitive part,
-    which only rescales by positive rationals and so changes no signs.
+    interval (a, b]. The members after the head are P', then the negated
+    remainders, each reduced to its primitive part, which only rescales by
+    positive rationals and so changes no signs. They are computed and
+    evaluated as integer lists, cached in ``_ints``; ``chain`` holds the
+    same members as polynomials.
     """
 
-    __slots__ = ("poly", "chain")
+    __slots__ = ("poly", "chain", "_ints")
 
     def __init__(self, squarefree: Polynomial):
         if squarefree.is_zero:
             raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-        chain = [squarefree]
+        ints = [_integer_coeffs(squarefree)]
         if squarefree.degree >= 1:
-            chain.append(squarefree.derivative().primitive())
-            while chain[-1].degree >= 1:
-                rem = chain[-2] % chain[-1]
-                if rem.is_zero:
+            ints.append(_integer_coeffs(squarefree.derivative()))
+            while len(ints[-1]) > 1:
+                rem = _pseudo_remainder(ints[-2], ints[-1])
+                if not rem:
                     # cannot happen for a squarefree head; guard anyway
                     break
-                chain.append((-rem).primitive())
+                ints.append(_primitive([-c for c in rem]))
         self.poly = squarefree
-        self.chain = tuple(chain)
+        self.chain = (squarefree, *(Polynomial(cs) for cs in ints[1:]))
+        self._ints = ints
 
     def variations_at(self, t) -> int:
         t = _as_fraction(t)
         count = 0
         prev = 0
-        for member in self.chain:
-            v = member.eval(t)
+        for member in self._ints:
+            v = _value(member, t)
             if v == 0:
                 continue
             s = 1 if v > 0 else -1
@@ -312,33 +384,57 @@ class SturmChain:
     def roots_in_open(self, a, b) -> int:
         """Distinct roots in (a, b): those in (a, b], less a root at b."""
         n = self.variations_at(a) - self.variations_at(b)
-        if self.poly.eval(b) == 0:
+        if _value(self._ints[0], _as_fraction(b)) == 0:
             n -= 1
         return n
+
+
+def _check_open(a, b) -> tuple[Fraction, Fraction]:
+    a, b = _as_fraction(a), _as_fraction(b)
+    if not a < b:
+        raise PreconditionError("need a < b")
+    return a, b
 
 
 def count_roots_open(p: Polynomial, a, b) -> int:
     """Number of distinct real roots of p strictly inside (a, b)."""
     if p.is_zero:
         raise ZeroPolynomialError("root counting needs a nonzero polynomial")
-    a, b = _as_fraction(a), _as_fraction(b)
-    if not a < b:
-        raise PreconditionError("need a < b")
+    a, b = _check_open(a, b)
     return SturmChain(squarefree_part(p)).roots_in_open(a, b)
+
+
+# sample_refutes tries a + (b - a) * k / SAMPLE_PARTS for 0 < k < SAMPLE_PARTS
+SAMPLE_PARTS = 17
+
+
+def sample_refutes(p: Polynomial, a, b) -> bool:
+    """True when exact values show that p > 0 fails somewhere on (a, b).
+
+    p is evaluated at SAMPLE_PARTS - 1 equally spaced interior rationals
+    and at both endpoints: a value <= 0 inside, or < 0 at an endpoint
+    (p is continuous), refutes positivity. False proves nothing.
+    """
+    cs = _integer_coeffs(p)
+    a, b = _as_fraction(a), _as_fraction(b)
+    if _value(cs, a) < 0 or _value(cs, b) < 0:
+        return True
+    step = (b - a) / SAMPLE_PARTS
+    return any(_value(cs, a + k * step) <= 0 for k in range(1, SAMPLE_PARTS))
 
 
 def is_positive_on(p: Polynomial, a, b) -> bool:
     """True iff p > 0 on the whole open interval (a, b).
 
-    Decided exactly: no interior root (Sturm) plus a positive midpoint
-    value. Zeros at the endpoints themselves are tolerated.
+    Decided exactly: a sampled refutation settles False at once; otherwise
+    no interior root (Sturm) plus a positive midpoint value. Zeros at the
+    endpoints themselves are tolerated.
     """
     if p.is_zero:
         raise ZeroPolynomialError("positivity of the zero polynomial is degenerate")
-    a, b = _as_fraction(a), _as_fraction(b)
-    if not a < b:
-        raise PreconditionError("need a < b")
+    a, b = _check_open(a, b)
+    if sample_refutes(p, a, b):
+        return False
     if count_roots_open(p, a, b) != 0:
         return False
     return p.eval((a + b) / 2) > 0
-

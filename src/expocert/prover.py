@@ -12,8 +12,14 @@ Certificate.
 
 The search over Taylor orders is deliberately dumb: one shared depth l
 for every bounded unit, deepened until the Sturm test passes or the depth
-budget runs out. A greedy per-unit descent (`minimize_assignment`) can
-then shrink the orders, which tends to shrink deg P as well.
+budget runs out. Most depths fail, so each P first meets an exact sample
+test (`sample_refutes`): a nonpositive value at one of a few fixed
+interior rationals, or a negative endpoint value, rejects the depth
+without a squarefree part or a Sturm chain. Such a P would fail the Sturm
+test too, so the first passing depth and its certificate do not change.
+The root count that an exhausted search reports is taken once, from its
+last P. A greedy per-unit descent (`minimize_assignment`) can then shrink
+the orders, which tends to shrink deg P as well.
 """
 
 from __future__ import annotations
@@ -30,7 +36,14 @@ from .errors import (
     SearchExhaustedError,
 )
 from .mep import ExpRational, Mep, eval_enclosure
-from .poly import Polynomial, SturmChain, is_positive_on, squarefree_part
+from .poly import (
+    Polynomial,
+    SturmChain,
+    count_roots_open,
+    is_positive_on,
+    sample_refutes,
+    squarefree_part,
+)
 from .taylor import maclaurin, select_order
 from .arith import RationalInterval
 
@@ -252,17 +265,17 @@ def _attempt(
     units: Sequence[BoundUnit],
     passthrough: Polynomial,
     assignment: tuple[AssignmentEntry, ...],
-) -> tuple[Optional[Certificate], Optional[int]]:
-    """Build P for one assignment and Sturm-check it.
+) -> tuple[Optional[Certificate], Polynomial]:
+    """Build P for one assignment and check it: samples, then Sturm.
 
-    Returns (certificate, None) on success, else (None, root count);
-    the count feeds failure diagnostics. A P that degenerates to the zero
-    polynomial counts as a plain failure.
+    Returns (certificate or None, P); a failing P feeds the diagnostics of
+    an exhausted search. A P that degenerates to the zero polynomial
+    counts as a plain failure.
     """
     a, b = interval
     total = _bound_poly(units, passthrough, assignment)
-    if total.is_zero:
-        return None, None
+    if total.is_zero or sample_refutes(total, a, b):
+        return None, total
     sf = squarefree_part(total)
     chain = SturmChain(sf)
     v_a = chain.variations_at(a)
@@ -272,7 +285,7 @@ def _attempt(
     mid = (a + b) / 2
     value = total.eval(mid)
     if roots != 0 or value <= 0:
-        return None, roots
+        return None, total
     return (
         Certificate(
             input=f"{f.text()} > 0",
@@ -286,7 +299,7 @@ def _attempt(
             witness_x=mid,
             witness_value=value,
         ),
-        None,
+        total,
     )
 
 
@@ -307,18 +320,18 @@ def prove_positive(
         raise PreconditionError("max_l must be >= 1")
     units, passthrough = bounding_units(f, interval, mode)
 
-    last_roots: Optional[int] = None
+    last: Optional[Polynomial] = None
     depths = [1] if not units else range(1, max_l + 1)
     for l in depths:
         assignment = uniform_assignment(units, l)
-        cert, roots = _attempt(f, (a, b), mode, units, passthrough, assignment)
+        cert, total = _attempt(f, (a, b), mode, units, passthrough, assignment)
         if cert is not None:
             return cert
-        if roots is not None:
-            last_roots = roots
+        if not total.is_zero:
+            last = total
     raise SearchExhaustedError(
         max_l=max_l if units else 0,
-        last_root_count=last_roots,
+        last_root_count=None if last is None else count_roots_open(last, a, b),
         detail="pure polynomial part is not positive" if not units else "",
     )
 

@@ -1,5 +1,6 @@
 """Exact polynomial algebra and Sturm root counting."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -51,21 +52,22 @@ def test_eval_is_exact():
 
 def test_divmod_exact():
     num = P(-1, 0, 1)  # x^2 - 1
-    q, r = divmod(num, P(-1, 1))
+    q, r = num.divmod(P(-1, 1))
     assert q == P(1, 1) and r.is_zero
-    q, r = divmod(P(1, 0, 1), P(-1, 1))
+    q, r = P(1, 0, 1).divmod(P(-1, 1))
     assert q == P(1, 1) and r == P(2)
-    assert P(1, 0, 1) % P(-1, 1) == P(2)
+    assert P(1).divmod(P(-1, 1)) == (Polynomial.zero(), P(1))
     with pytest.raises(ZeroPolynomialError):
-        divmod(P(1, 1), Polynomial.zero())
+        P(1, 1).divmod(Polynomial.zero())
 
 
 def test_content_primitive():
     p = P(F(2, 3), F(4, 3), 2)
     assert p.content() == F(2, 3)
-    assert p.primitive() == P(1, 2, 3)
+    # a squarefree input comes back as its primitive form, sign kept
+    assert squarefree_part(p) == P(1, 2, 3)
     assert P(-2, -4).content() == 2
-    assert P(-2, -4).primitive() == P(-1, -2)
+    assert squarefree_part(P(-2, -4)) == P(-1, -2)
     assert Polynomial.zero().content() == 0
 
 
@@ -73,7 +75,7 @@ def test_poly_gcd():
     a = P(-1, 1) * P(2, 1)   # (x-1)(x+2)
     b = P(-1, 1) * P(-3, 1)  # (x-1)(x-3)
     assert poly_gcd(a, b) == P(-1, 1)
-    assert poly_gcd(a, Polynomial.zero()) == a.primitive()
+    assert poly_gcd(a.scale(F(-2, 3)), Polynomial.zero()) == a
     # result is primitive with positive leading coefficient
     assert poly_gcd(P(0, -2), P(0, 0, -4)) == P(0, 1)
     assert poly_gcd(P(7), P(5)) == P(1)
@@ -177,3 +179,81 @@ def test_text_and_coeff_strings():
     assert Polynomial.from_coeff_strings(p.coeff_strings()) == p
     assert Polynomial.zero().text() == "0"
     assert P(0, 1).text("e") == "e"
+
+
+def _rational_sturm_chain(sf):
+    """The rational remainder sequence, as a reference for SturmChain."""
+
+    def primitive(p):
+        return p.scale(1 / p.content())
+
+    chain = [sf, primitive(sf.derivative())] if sf.degree >= 1 else [sf]
+    while chain[-1].degree >= 1:
+        rem = chain[-2].divmod(chain[-1])[1]
+        if rem.is_zero:
+            break
+        chain.append(primitive(-rem))
+    return chain
+
+
+def _is_integer_primitive(p):
+    return all(c.denominator == 1 for c in p.coeffs) and math.gcd(
+        *(c.numerator for c in p.coeffs)
+    ) == 1
+
+
+def test_integer_prs_against_sympy():
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    x = sympy.Symbol("x")
+    rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    root = st.tuples(rationals, st.integers(1, 3))
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], x)
+
+    def from_sympy(q):
+        return Polynomial(list(reversed([F(str(c)) for c in q.all_coeffs()])))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        roots=st.lists(root, min_size=1, max_size=5),
+        shared=st.integers(0, 5),
+        lead=st.sampled_from([-3, -1, 1, 2]),
+        quadratic=st.integers(-3, 3),
+        interval=st.tuples(rationals, rationals).filter(lambda ab: ab[0] != ab[1]),
+        at_endpoint=st.sampled_from([None, 0, 1]),
+    )
+    def check(roots, shared, lead, quadratic, interval, at_endpoint):
+        a, b = sorted(interval)
+        if at_endpoint is not None:
+            roots = roots + [((a, b)[at_endpoint], 1)]
+        p = P(lead)
+        for r, m in roots:
+            p = p * P(-r, 1) ** m
+        if quadratic:
+            p = p * P(quadratic, 0, 1)  # x^2 + c: no real roots, or +-sqrt(-c)
+        want = to_sympy(p).count_roots(a, b) - (p(a) == 0) - (p(b) == 0)
+        assert count_roots_open(p, a, b) == want
+
+        sf = squarefree_part(p)
+        assert _is_integer_primitive(sf)
+        assert (sf.leading > 0) == (p.leading > 0)
+        expected_sf = from_sympy(sympy.sqf_part(to_sympy(p)).primitive()[1])
+        assert sf == (expected_sf if expected_sf.leading * p.leading > 0 else -expected_sf)
+
+        chain = SturmChain(sf).chain
+        assert all(_is_integer_primitive(m) for m in chain)
+        assert list(chain) == _rational_sturm_chain(sf)
+
+        q = P(1)
+        for r, m in roots[:shared]:
+            q = q * P(-r, 1) ** m
+        g = to_sympy(p).gcd(to_sympy(q)).primitive()[1]
+        g = from_sympy(g if g.LC() > 0 else -g)
+        assert poly_gcd(p, q) == g
+
+    check()

@@ -17,7 +17,7 @@ from expocert.errors import (
     SearchExhaustedError,
 )
 from expocert.mep import ExpRational, Mep, eval_enclosure
-from expocert.poly import Polynomial
+from expocert.poly import Polynomial, count_roots_open, sample_refutes
 from expocert.prover import (
     GROUPED,
     PER_TERM,
@@ -169,6 +169,61 @@ def test_prove_failure_paths():
     with pytest.raises(SearchExhaustedError) as ei:
         prove_positive(Mep([(1, 0, 1), (-1, 0, 0)]), UNIT, max_l=4)
     assert ei.value.max_l == 4
+
+
+def _sturm_positive(p, a, b):
+    return count_roots_open(p, a, b) == 0 and p((a + b) / 2) > 0
+
+
+def test_sample_refutation_is_sound():
+    # a P the samples reject would also fail the Sturm test, so rejecting
+    # it early cannot change which depth wins
+    rng = random.Random(1717)
+    fired = 0
+    for _ in range(400):
+        p = Polynomial([F(rng.randint(-9, 9), rng.randint(1, 4))
+                        for _ in range(rng.randint(1, 7))])
+        if p.is_zero:
+            continue
+        a = F(rng.randint(0, 20), rng.randint(1, 3))
+        b = a + F(rng.randint(1, 30), rng.randint(1, 3))
+        if sample_refutes(p, a, b):
+            fired += 1
+            assert not _sturm_positive(p, a, b)
+    assert fired > 100
+    # the bound polynomials of exp(-x) > 1 - x on (0, 30): P = 0 at depth 1,
+    # depths 2..37 fail, 38 passes
+    f = Mep([(1, 0, 1), (-1, 0, 0), (1, 1, 0)])
+    wide = (F(0), F(30))
+    units, _ = bounding_units(f, wide)
+    for l in range(2, 39):
+        p = lower_bound_poly(f, wide, uniform_assignment(units, l))
+        if sample_refutes(p, *wide):
+            assert not _sturm_positive(p, *wide)
+        assert _sturm_positive(p, *wide) == (l == 38)
+
+
+def test_exhausted_search_counts_roots_of_its_last_p():
+    cases = [
+        (Mep([(1, 0, 1), (-1, 0, 0), (1, 1, 0)]), (F(0), F(30)), 20),
+        (Mep([(1, 0, 20)]), UNIT, 20),
+        (Mep([(1, 0, 1), (-2, 0, 0)]), UNIT, 6),  # P < 0 with no root
+        (Mep([(1, 0, 1), (-1, 0, 0)]), UNIT, 4),
+        # the counts change with the depth: 1 root at l = 1, then 2
+        (Mep([(1, 1, 1), (F(-1, 4), 0, 0)]), (F(0), F(4)), 4),
+        # 1 root up to l = 4, then 3
+        (Mep([(1, 0, 2), (-1, 0, 1), (F(1, 5), 0, 0)]), (F(0), F(5)), 6),
+        (Mep([(1, 2, 0), (-1, 1, 0), (F(1, 4), 0, 0)]), UNIT, 20),  # no units
+    ]
+    counts = []
+    for f, interval, max_l in cases:
+        with pytest.raises(SearchExhaustedError) as ei:
+            prove_positive(f, interval, max_l)
+        units, _ = bounding_units(f, interval)
+        last = lower_bound_poly(f, interval, uniform_assignment(units, max_l))
+        assert ei.value.last_root_count == count_roots_open(last, *interval)
+        counts.append(ei.value.last_root_count)
+    assert counts == [1, 1, 0, 0, 2, 3, 1]
 
 
 def test_falsify():
