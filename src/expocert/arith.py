@@ -1,4 +1,5 @@
-"""Exact interval arithmetic and constant enclosures.
+"""Exact interval arithmetic, sums of rational multiples of e^s, and
+constants in e.
 
 Everything here is built from rational endpoints. The only transcendental
 that ever enters is e, and it enters through one gate: the alternating
@@ -6,11 +7,16 @@ Maclaurin bracket
 
     T_{2m-1}(t) < exp(-t) < T_{2m}(t)    for rational t > 0,
 
-whose width t^(2m)/(2m)! is an exact rational. Enclosures of exp(s) for
-any rational s, of the constant e itself, of rational expressions in e
-(ConstExpr) and of finite sums of rational multiples of e^s (ExpSum) are
-all derived from that bracket, so tightening is always a matter of
-raising m.
+whose width t^(2m)/(2m)! is an exact rational.
+
+A value taken at a rational point is an exact finite sum of rational
+multiples of e^s (ExpSum), or a quotient of two: an MEP at a point, a
+grid point's two sides, a constant in e (ConstExpr). Distinct e^s are
+linearly independent over Q, so such a sum is zero only when it has no
+terms. `lau_enclosure` encloses every sum through powers of one
+tau = e^(1/D) with 1/D <= 1, so a large |s| needs no high Maclaurin
+order; `exp_sum_sign` tightens it until it clears zero, and
+`quotient_enclosure` divides two.
 """
 
 from __future__ import annotations
@@ -77,14 +83,8 @@ class RationalInterval:
             return -1
         return 0
 
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
     def __add__(self, other: "RationalInterval") -> "RationalInterval":
         return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, RationalInterval):
@@ -114,28 +114,6 @@ class RationalInterval:
 
     def __truediv__(self, other: "RationalInterval") -> "RationalInterval":
         return self * other.reciprocal()
-
-    def power(self, n: int) -> "RationalInterval":
-        """[lo, hi]**n for integer n; negative n needs a sign-definite base."""
-        if n == 0:
-            return RationalInterval.point(1)
-        if n < 0:
-            return self.reciprocal().power(-n)
-        a, b = self.lo**n, self.hi**n
-        if n % 2 == 1:
-            return RationalInterval(a, b)
-        if self.lo >= 0:
-            return RationalInterval(a, b)
-        if self.hi <= 0:
-            return RationalInterval(b, a)
-        return RationalInterval(Fraction(0), max(a, b))
-
-    def intersect(self, other: "RationalInterval") -> "RationalInterval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise PreconditionError("intervals do not intersect")
-        return RationalInterval(lo, hi)
 
     def outward_round(self, bits: int) -> "RationalInterval":
         """Widen to endpoints with denominator 2**bits.
@@ -224,218 +202,21 @@ def exp_enclosure(s, eps) -> RationalInterval:
 
 
 # ---------------------------------------------------------------------------
-# constant expressions over Q and e
-
-
-class ConstExpr:
-    """Expression tree over rational constants and the constant e.
-
-    Supports +, -, *, /, integer powers. Two views are maintained on
-    demand: a certified enclosure of adjustable width, and an exact
-    representation as a rational function of e (a pair of polynomials),
-    which decides equality and exact zeroness outright since e is
-    transcendental.
-    """
-
-    __slots__ = ("op", "args", "value")
-
-    def __init__(self, op: str, args: tuple = (), value=None):
-        self.op = op
-        self.args = args
-        self.value = value
-
-    # construction ------------------------------------------------------
-
-    @classmethod
-    def rational(cls, q) -> "ConstExpr":
-        return cls("rat", value=_rat(q))
-
-    @classmethod
-    def e(cls) -> "ConstExpr":
-        return cls("e")
-
-    @staticmethod
-    def _coerce(v) -> "ConstExpr":
-        if isinstance(v, ConstExpr):
-            return v
-        return ConstExpr.rational(v)
-
-    def __add__(self, other):
-        return ConstExpr("add", (self, self._coerce(other)))
-
-    def __radd__(self, other):
-        return ConstExpr("add", (self._coerce(other), self))
-
-    def __sub__(self, other):
-        return ConstExpr("sub", (self, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return ConstExpr("sub", (self._coerce(other), self))
-
-    def __mul__(self, other):
-        return ConstExpr("mul", (self, self._coerce(other)))
-
-    def __rmul__(self, other):
-        return ConstExpr("mul", (self._coerce(other), self))
-
-    def __truediv__(self, other):
-        return ConstExpr("div", (self, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return ConstExpr("div", (self._coerce(other), self))
-
-    def __neg__(self):
-        return ConstExpr("neg", (self,))
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("only integer powers of constants")
-        return ConstExpr("pow", (self,), value=n)
-
-    # exact view ----------------------------------------------------------
-
-    def e_fraction(self) -> tuple[Polynomial, Polynomial]:
-        """(num, den) with self = num(e)/den(e), reduced, den(e) not the
-        zero polynomial and with positive leading coefficient."""
-        num, den = self._raw_fraction()
-        if num.is_zero:
-            return Polynomial.zero(), Polynomial.constant(1)
-        g = poly_gcd(num, den)
-        num = num.divmod(g)[0]
-        den = den.divmod(g)[0]
-        if den.leading < 0:
-            num, den = -num, -den
-        return num, den
-
-    def _raw_fraction(self) -> tuple[Polynomial, Polynomial]:
-        one = Polynomial.constant(1)
-        if self.op == "rat":
-            return Polynomial.constant(self.value), one
-        if self.op == "e":
-            return Polynomial.monomial(1, 1), one
-        if self.op == "neg":
-            n, d = self.args[0]._raw_fraction()
-            return -n, d
-        if self.op == "pow":
-            n, d = self.args[0]._raw_fraction()
-            k = self.value
-            if k < 0:
-                if n.is_zero:
-                    raise DivisionByPossiblyZeroError("negative power of exact zero")
-                n, d, k = d, n, -k
-            return n**k, d**k
-        a_n, a_d = self.args[0]._raw_fraction()
-        b_n, b_d = self.args[1]._raw_fraction()
-        if self.op == "add":
-            return a_n * b_d + b_n * a_d, a_d * b_d
-        if self.op == "sub":
-            return a_n * b_d - b_n * a_d, a_d * b_d
-        if self.op == "mul":
-            return a_n * b_n, a_d * b_d
-        if self.op == "div":
-            if b_n.is_zero:
-                raise DivisionByPossiblyZeroError("division by exact zero constant")
-            return a_n * b_d, a_d * b_n
-        raise ValueError(f"unknown op {self.op!r}")
-
-    def is_zero(self) -> bool:
-        return self.e_fraction()[0].is_zero
-
-    # numeric view --------------------------------------------------------
-
-    def enclosure(self, eps) -> RationalInterval:
-        """Certified enclosure of width < eps.
-
-        Walks the tree in interval arithmetic with e itself enclosed to a
-        working tolerance, halving that tolerance until the result is
-        narrow enough (and until every denominator along the way has
-        definite sign). A denominator that is *exactly* zero is detected
-        symbolically and rejected; any other one eventually clears zero.
-        """
-        eps = _rat(eps)
-        if eps <= 0:
-            raise PreconditionError("eps must be positive")
-        self._reject_zero_denominators()
-        e_eps = eps if eps < 1 else Fraction(1, 2)
-        for _ in range(220):
-            e_box = exp_enclosure(1, e_eps)
-            try:
-                box = self._eval_interval(e_box)
-            except DivisionByPossiblyZeroError:
-                e_eps /= 16
-                continue
-            if box.width < eps:
-                return box
-            e_eps /= 16
-        raise BudgetExceededError("constant enclosure did not converge")
-
-    def _reject_zero_denominators(self) -> None:
-        if self.op == "div" and self.args[1].is_zero():
-            raise DivisionByPossiblyZeroError("division by exact zero constant")
-        if self.op == "pow" and self.value < 0 and self.args[0].is_zero():
-            raise DivisionByPossiblyZeroError("negative power of exact zero")
-        for a in self.args:
-            a._reject_zero_denominators()
-
-    def _eval_interval(self, e_box: RationalInterval) -> RationalInterval:
-        if self.op == "rat":
-            return RationalInterval.point(self.value)
-        if self.op == "e":
-            return e_box
-        if self.op == "neg":
-            return -self.args[0]._eval_interval(e_box)
-        if self.op == "pow":
-            return self.args[0]._eval_interval(e_box).power(self.value)
-        a = self.args[0]._eval_interval(e_box)
-        b = self.args[1]._eval_interval(e_box)
-        if self.op == "add":
-            return a + b
-        if self.op == "sub":
-            return a - b
-        if self.op == "mul":
-            return a * b
-        if self.op == "div":
-            return a / b
-        raise ValueError(f"unknown op {self.op!r}")
-
-    def sign(self) -> int:
-        """Exact sign: 0 only for the symbolic zero, else decided by
-        tightening the enclosure until it clears zero."""
-        if self.is_zero():
-            return 0
-        eps = Fraction(1, 4)
-        for _ in range(220):
-            s = self.enclosure(eps).definite_sign()
-            if s != 0:
-                return s
-            eps /= 16
-        raise BudgetExceededError("sign of constant did not resolve")
-
-    # display --------------------------------------------------------------
-
-    def text(self) -> str:
-        """Canonical display, read off the reduced rational function of e."""
-        num, den = self.e_fraction()
-        ns = num.text("e")
-        if den == Polynomial.constant(1):
-            return ns
-        return f"({ns}) / ({den.text('e')})"
-
-    def __repr__(self) -> str:
-        return f"ConstExpr({self.text()!r})"
-
-
-# ---------------------------------------------------------------------------
 # sums of rational multiples of e^s
 #
 # A sum is a dict {s: c} with rational s, meaning sum c * e^s. Such sums
-# come up when an expression is evaluated at an exact rational point:
-# every exp(.) collapses onto one e^s, so the value (and the difference
-# of two sides) is a finite sum whose exact vanishing is read off the
-# dict and whose sign is read off an enclosure of a single e^(1/D).
-# Zero coefficients are never stored, so {} is exactly zero.
+# come up whenever a value is taken at an exact rational point: every
+# exp(.) collapses onto one e^s, so the value (and the difference of two
+# sides) is a finite sum whose exact vanishing is read off the dict and
+# whose sign is read off an enclosure of a single e^(1/D). Zero
+# coefficients are never stored, so {} is exactly zero.
 
 ExpSum = dict
+
+_ONE: ExpSum = {Fraction(0): Fraction(1)}
+
+# exp_sum_sign tries widths 2^-16, 2^-32, ... down to 2^-SIGN_BITS_CAP
+SIGN_BITS_CAP = 2048
 
 
 def _sum_add(a: dict, b: dict, sgn: int) -> dict:
@@ -461,6 +242,18 @@ def _sum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
                 out.pop(k, None)
             else:
                 out[k] = nc
+    return out
+
+
+def _sum_pow(a: ExpSum, k: int) -> ExpSum:
+    """a**k for an integer k >= 0, by squaring."""
+    out: ExpSum = {Fraction(0): Fraction(1)}
+    while k:
+        if k & 1:
+            out = _sum_mul(out, a)
+        k >>= 1
+        if k:
+            a = _sum_mul(a, a)
     return out
 
 
@@ -506,8 +299,8 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
     eps = _rat(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
-    if not a:
-        return RationalInterval.point(0)
+    if set(a) <= {0}:  # no e^s with s != 0: the value is exact
+        return RationalInterval.point(a.get(0, 0))
     denom = _common_denominator(a)
     powers = [(int(s * denom), c) for s, c in sorted(a.items())]
     # seed the schedule from the target: the first tau needs roughly the
@@ -526,6 +319,167 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
         tau_eps /= 1 << 12
         bits += 48
     raise BudgetExceededError("exponential sum enclosure did not converge")
+
+
+def exp_sum_sign(a: ExpSum) -> int:
+    """Exact sign of sum c * e^s: 0 for {} and only for {}.
+
+    Distinct e^s are linearly independent over Q (Lindemann-Weierstrass),
+    so a nonempty sum is nonzero and a narrow enough lau_enclosure clears
+    zero. The width is squared until it does; a value smaller than
+    2^-SIGN_BITS_CAP raises BudgetExceededError.
+    """
+    if not a:
+        return 0
+    bits = 16
+    while bits <= SIGN_BITS_CAP:
+        sgn = lau_enclosure(a, Fraction(1, 1 << bits)).definite_sign()
+        if sgn:
+            return sgn
+        bits *= 2
+    raise BudgetExceededError(
+        f"sign of a nonzero exponential sum not resolved at width 2^-{SIGN_BITS_CAP}"
+    )
+
+
+def quotient_enclosure(num: ExpSum, den: ExpSum, eps) -> RationalInterval:
+    """Enclose (sum num) / (sum den) to width < eps.
+
+    The working width shrinks until den's enclosure clears zero, then by
+    the factor the quotient missed eps by. An exactly zero den raises
+    DivisionByPossiblyZeroError; any other den is nonzero (see
+    exp_sum_sign), so only lau_enclosure's budget can end the loop early.
+    """
+    if not den:
+        raise DivisionByPossiblyZeroError("division by an exact zero")
+    eps = delta = _rat(eps)
+    while True:
+        d = lau_enclosure(den, delta)
+        if not d.definite_sign():
+            delta /= 1 << 8
+            continue
+        box = lau_enclosure(num, delta) / d
+        if box.width < eps:
+            return box
+        delta /= 2 << int(box.width / eps).bit_length()
+
+
+# ---------------------------------------------------------------------------
+# constants over Q and e
+
+
+def _e_poly(a: ExpSum) -> Polynomial:
+    """A sum over integer powers e^k, k >= 0, as a polynomial in e."""
+    top = int(max(a, default=0))
+    return Polynomial([a.get(k, Fraction(0)) for k in range(top + 1)])
+
+
+@dataclass(frozen=True, eq=False)
+class ConstExpr:
+    """A rational function of e, held exactly as a quotient num/den of two
+    sums over integer powers of e (ExpSum dicts with exponents >= 0).
+
+    +, -, *, / and integer powers combine the pairs by the fraction rules,
+    without reduction. A sum is zero exactly when its dict is empty (see
+    exp_sum_sign), so exact zeroness and the sign are decided outright, and
+    the value is enclosed by quotient_enclosure like any quotient of sums.
+    Dividing by an exact zero leaves den = {}, which raises
+    DivisionByPossiblyZeroError when the value is used.
+    """
+
+    num: ExpSum
+    den: ExpSum
+
+    # construction ------------------------------------------------------
+
+    @classmethod
+    def rational(cls, q) -> "ConstExpr":
+        q = _rat(q)
+        return cls({Fraction(0): q} if q else {}, _ONE)
+
+    @classmethod
+    def e(cls) -> "ConstExpr":
+        return cls({Fraction(1): Fraction(1)}, _ONE)
+
+    @staticmethod
+    def _coerce(v) -> "ConstExpr":
+        if isinstance(v, ConstExpr):
+            return v
+        return ConstExpr.rational(v)
+
+    def _add(self, other: "ConstExpr", sgn: int) -> "ConstExpr":
+        return ConstExpr(
+            _sum_add(_sum_mul(self.num, other.den), _sum_mul(other.num, self.den), sgn),
+            _sum_mul(self.den, other.den),
+        )
+
+    def __add__(self, other):
+        return self._add(self._coerce(other), 1)
+
+    def __sub__(self, other):
+        return self._add(self._coerce(other), -1)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return ConstExpr(_sum_mul(self.num, other.num), _sum_mul(self.den, other.den))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        return ConstExpr(_sum_mul(self.num, other.den), _sum_mul(self.den, other.num))
+
+    def __neg__(self):
+        return ConstExpr({k: -c for k, c in self.num.items()}, self.den)
+
+    def __pow__(self, n: int):
+        if not self.den:
+            return self
+        num, den = (self.num, self.den) if n >= 0 else (self.den, self.num)
+        return ConstExpr(_sum_pow(num, abs(n)), _sum_pow(den, abs(n)))
+
+    def _checked(self) -> tuple[ExpSum, ExpSum]:
+        if not self.den:
+            raise DivisionByPossiblyZeroError("division by exact zero constant")
+        return self.num, self.den
+
+    # exact view ----------------------------------------------------------
+
+    def e_fraction(self) -> tuple[Polynomial, Polynomial]:
+        """(num, den) with self = num(e)/den(e), reduced, den(e) not the
+        zero polynomial and with positive leading coefficient."""
+        num, den = (_e_poly(a) for a in self._checked())
+        if num.is_zero:
+            return Polynomial.zero(), Polynomial.constant(1)
+        g = poly_gcd(num, den)
+        num = num.divmod(g)[0]
+        den = den.divmod(g)[0]
+        if den.leading < 0:
+            num, den = -num, -den
+        return num, den
+
+    def is_zero(self) -> bool:
+        return not self._checked()[0]
+
+    def sign(self) -> int:
+        num, den = self._checked()
+        return exp_sum_sign(num) * exp_sum_sign(den)
+
+    # numeric view --------------------------------------------------------
+
+    def enclosure(self, eps) -> RationalInterval:
+        """Certified enclosure of width < eps."""
+        return quotient_enclosure(*self._checked(), eps)
+
+    # display --------------------------------------------------------------
+
+    def text(self) -> str:
+        """Canonical display, read off the reduced rational function of e."""
+        num, den = self.e_fraction()
+        ns = num.text("e")
+        if den == Polynomial.constant(1):
+            return ns
+        return f"({ns}) / ({den.text('e')})"
 
 
 # ---------------------------------------------------------------------------

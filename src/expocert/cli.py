@@ -17,12 +17,13 @@ human-readable summary unless --json is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
 
-from .arith import decimal_str
+from .arith import RationalInterval, decimal_str
 from .errors import (
     BudgetExceededError,
     DegenerateInputError,
@@ -46,10 +47,9 @@ from .expr import (
     to_exp_rational,
     variables,
 )
-from .mep import ExpRational, Mep, eval_enclosure
+from .mep import ExpRational, Mep, sign_at
 from .prover import (
     DEFAULT_MAX_L,
-    FALSIFY_EPS,
     GROUPED,
     PER_TERM,
     Certificate,
@@ -216,8 +216,7 @@ def _cmd_prove(ns) -> int:
             # polynomial input can: a strict claim fails there, and a
             # non-strict one is a tie the method cannot certify
             mid = (za + zb) / 2
-            box = eval_enclosure(f, mid, FALSIFY_EPS)
-            if box.lo == box.hi == 0:
+            if sign_at(f, mid) == 0:
                 if not ineq.strict:
                     print(
                         f"undecided: both sides are exactly equal at "
@@ -226,7 +225,7 @@ def _cmd_prove(ns) -> int:
                         file=sys.stderr,
                     )
                     return 2
-                witness = NegativeWitness(x=mid, enclosure=box)
+                witness = NegativeWitness(x=mid, enclosure=RationalInterval.point(0))
         if witness is None:
             print(f"undecided: {exc}", file=sys.stderr)
             return 2
@@ -412,7 +411,9 @@ def _cmd_grid(ns) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = _Parser(prog="expocert", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,8 +19,9 @@ value is computable pointwise.
 Constant subexpressions made only of rationals fold during parsing, so
 the canonical printer and the parser are mutually inverse on ASTs.
 
-Three lowerings leave this module: `to_const` (no variables) feeds the
-constant-enclosure machinery, `to_exp_rational` (variable x) produces the
+Three lowerings leave this module: `to_const` (no variables) produces a
+constant in e, an exact quotient of sums over integer powers of e that
+`arith` signs and encloses, `to_exp_rational` (variable x) produces the
 quotient of mixed exponential polynomials the prover works on, stretching
 x by the shared `mep` substitution when exponential rates are fractional,
 and `exp_sum_at` (variables x, a) collapses an expression at one rational
@@ -34,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ConstExpr, ExpSum, _sum_add, _sum_mul, _sum_reciprocal
+from .arith import ConstExpr, ExpSum, _sum_add, _sum_mul, _sum_pow, _sum_reciprocal
 from .errors import (
     LoweringError,
     NonlinearExpArgumentError,
@@ -641,11 +642,7 @@ def exp_sum_at(node: Node, point: dict[str, Fraction]) -> ExpSum:
         base = exp_sum_at(node.args[0], point)
         if k < 0:
             base = _sum_reciprocal(base)
-            k = -k
-        out: ExpSum = {Fraction(0): Fraction(1)}
-        for _ in range(k):
-            out = _sum_mul(out, base)
-        return out
+        return _sum_pow(base, abs(k))
     a = exp_sum_at(node.args[0], point)
     b = exp_sum_at(node.args[1], point)
     if node.op == "add":

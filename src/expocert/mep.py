@@ -17,6 +17,10 @@ by `_stretch`, which substitutes x = v*z with one v shared by every sum
 in the same variable (`expr.to_exp_rational` and
 `stratify.substitute_alpha` both go through it). Both moves preserve
 positivity on the matching interval.
+
+At a rational point x an MEP is the exact sum {-q*x: c_q(x)} of rational
+multiples of e^s (`arith.ExpSum`), so `eval_enclosure` and `sign_at` hand
+that sum, or a quotient of two, to the one evaluator in `arith`.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .arith import RationalInterval, _common_denominator, enclose_exp_neg
-from .errors import (
-    BudgetExceededError,
-    DenominatorSignUnknownError,
-    DivisionByPossiblyZeroError,
-    PreconditionError,
+from .arith import (
+    _ONE,
+    ExpSum,
+    RationalInterval,
+    _common_denominator,
+    _sum_add,
+    exp_sum_sign,
+    quotient_enclosure,
 )
+from .errors import DenominatorSignUnknownError, PreconditionError
 from .poly import Polynomial
 
 
@@ -238,54 +245,36 @@ def differentiate_quotient(f: ExpRational) -> ExpRational:
     return ExpRational(n.differentiate() * d - n * d.differentiate(), d * d)
 
 
-def eval_enclosure(f: Union[Mep, ExpRational], x, eps) -> RationalInterval:
-    """Certified enclosure of f(x) with width < eps, x >= 0.
+def _value_sum(f: Mep, x: Fraction) -> ExpSum:
+    """f(x) written exactly as the sum {-q*x: c_q(x)} of rational
+    multiples of e^s."""
+    out: ExpSum = {}
+    for q, c in f.group_by_q():
+        out = _sum_add(out, {-q * x: c.eval(x)}, 1)
+    return out
 
-    y = e^(-x) is enclosed once (inside [0, 1], so monotone powering
-    handles y^q), the coefficient polynomials are evaluated exactly, and
-    the working tolerance shrinks until the total width fits. Quotients
-    additionally require the denominator enclosure to clear zero; if it
-    never does, DenominatorSignUnknownError is raised.
-    """
+
+def _sums_at(f: Union[Mep, ExpRational], x) -> tuple[ExpSum, ExpSum]:
+    """f(x), x rational, as an exact quotient num/den of such sums; an MEP
+    has den = 1. A denominator that is exactly zero at x raises
+    DenominatorSignUnknownError."""
     x = Fraction(x)
-    eps = Fraction(eps)
-    if x < 0:
-        raise PreconditionError("eval_enclosure needs x >= 0")
-    if eps <= 0:
-        raise PreconditionError("eps must be positive")
+    if isinstance(f, Mep):
+        return _value_sum(f, x), _ONE
+    den = _value_sum(f.denominator, x)
+    if not den:
+        raise DenominatorSignUnknownError(f"denominator is exactly zero at x = {x}")
+    return _value_sum(f.numerator, x), den
 
-    if isinstance(f, ExpRational):
-        delta = eps
-        for _ in range(80):
-            den = eval_enclosure(f.denominator, x, delta)
-            if den.definite_sign() != 0:
-                num = eval_enclosure(f.numerator, x, delta)
-                try:
-                    out = num * den.reciprocal()
-                except DivisionByPossiblyZeroError:  # pragma: no cover
-                    out = None
-                if out is not None and out.width < eps:
-                    return out
-            delta /= 16
-        raise DenominatorSignUnknownError(
-            f"denominator enclosure at x = {x} never cleared zero"
-        )
 
-    if f.is_zero:
-        return RationalInterval.point(0)
-    groups = f.group_by_q()
-    values = [(q, c.eval(x)) for q, c in groups]
-    # a priori tolerance: d/dy of sum c_q y^q on [0,1] is at most
-    # sum q*|c_q(x)|, so that slope picks the starting y-width
-    slope = sum(abs(v) * q for q, v in values) + 1
-    delta = eps / slope / 2
-    unit = RationalInterval(Fraction(0), Fraction(1))
-    for _ in range(80):
-        y = enclose_exp_neg(x, delta).intersect(unit)
-        acc = RationalInterval.point(0)
-        for q, v in values:
-            acc = acc + y.power(q).scale(v)
-        if acc.width < eps:
-            return acc
-        delta /= 16
-    raise BudgetExceededError(f"enclosure of width {eps} not reached at x = {x}")
+def eval_enclosure(f: Union[Mep, ExpRational], x, eps) -> RationalInterval:
+    """Certified enclosure of f(x) with width < eps, x rational, by
+    quotient_enclosure of the sums of `_sums_at`."""
+    return quotient_enclosure(*_sums_at(f, x), eps)
+
+
+def sign_at(f: Union[Mep, ExpRational], x) -> int:
+    """Exact sign of f(x), x rational: 0 only for an exact zero. Errors as
+    in eval_enclosure, plus exp_sum_sign's BudgetExceededError."""
+    num, den = _sums_at(f, x)
+    return exp_sum_sign(num) * exp_sum_sign(den)

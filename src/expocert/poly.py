@@ -169,19 +169,6 @@ class Polynomial:
                 rem[i - dq + j] -= f * oc
         return Polynomial(quot), Polynomial(rem)
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise PreconditionError("polynomial powers take n >= 0")
-        out = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer
         coefficients; 0 for the zero polynomial."""

@@ -29,13 +29,14 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import (
+    BudgetExceededError,
     DegenerateInputError,
     MalformedCertificateError,
     ParseError,
     PreconditionError,
     SearchExhaustedError,
 )
-from .mep import ExpRational, Mep, eval_enclosure
+from .mep import ExpRational, Mep, eval_enclosure, sign_at
 from .poly import (
     Polynomial,
     SturmChain,
@@ -49,7 +50,7 @@ from .arith import RationalInterval
 
 DEFAULT_MAX_L = 20
 
-# the counterexample scan: interior points tried, and the enclosure width
+# the counterexample scan: points tried, and a witness's first enclosure width
 FALSIFY_SAMPLES = 40
 FALSIFY_EPS = Fraction(1, 10**12)
 
@@ -341,15 +342,19 @@ def prove_sign(
 ) -> tuple[int, Certificate]:
     """Certify f > 0 (sign +1) or -f > 0 (sign -1) on the interval.
 
-    A loose enclosure of f at the midpoint picks which direction to try
-    first, so the usual case costs one search. When neither direction is
-    proved, the SearchExhaustedError of the second attempt is raised.
+    The sign of f at the midpoint picks which direction to try first, so
+    the usual case costs one search; a value too small to sign leaves
+    f > 0 first. When neither direction is proved, the
+    SearchExhaustedError of the second attempt is raised.
     """
     if f.is_zero:
         raise DegenerateInputError("expression is identically zero")
     mid = (Fraction(interval[0]) + Fraction(interval[1])) / 2
-    hint = eval_enclosure(f, mid, Fraction(1, 10**6))
-    first, second = (1, -1) if hint.definite_sign() >= 0 else (-1, 1)
+    try:
+        hint = sign_at(f, mid)
+    except BudgetExceededError:
+        hint = 0
+    first, second = (1, -1) if hint >= 0 else (-1, 1)
     try:
         return first, prove_positive(f if first > 0 else -f, interval, max_l, mode)
     except SearchExhaustedError:
@@ -396,17 +401,22 @@ def falsify(f: Union[Mep, ExpRational], interval) -> Optional[NegativeWitness]:
     """Look for a point where f is certifiably negative.
 
     Scans FALSIFY_SAMPLES equally spaced interior rationals left to right
-    and returns the first whose enclosure lies entirely below zero; None
-    means no disproof found (not a proof of positivity). A quotient whose
-    denominator vanishes at a scanned point raises
-    DenominatorSignUnknownError, as eval_enclosure does.
+    and returns the first where the exact sign of f is negative, with an
+    enclosure of width below FALSIFY_EPS, narrowed further until it lies
+    below zero. None means no disproof found (not a proof of positivity).
+    A quotient whose denominator is exactly zero at a scanned point raises
+    DenominatorSignUnknownError, as sign_at does.
     """
     a, b = _check_interval(interval)
     step = (b - a) / (FALSIFY_SAMPLES + 1)
     for i in range(1, FALSIFY_SAMPLES + 1):
         x = a + i * step
-        box = eval_enclosure(f, x, FALSIFY_EPS)
-        if box.hi < 0:
+        if sign_at(f, x) < 0:
+            eps = FALSIFY_EPS
+            box = eval_enclosure(f, x, eps)
+            while box.hi >= 0:
+                eps *= eps
+                box = eval_enclosure(f, x, eps)
             return NegativeWitness(x=x, enclosure=box)
     return None
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import ConstExpr, ExpSum, RationalInterval, _sum_add, lau_enclosure
+from .arith import ConstExpr, RationalInterval, _sum_add, exp_sum_sign, lau_enclosure
 from .errors import (
     BudgetExceededError,
     EndpointValidationError,
@@ -41,7 +41,14 @@ from .errors import (
     SearchExhaustedError,
 )
 from .expr import InequalityAst, exp_sum_at
-from .mep import ExpRational, Mep, _stretch, differentiate_quotient, eval_enclosure
+from .mep import (
+    ExpRational,
+    Mep,
+    _stretch,
+    _value_sum,
+    differentiate_quotient,
+    eval_enclosure,
+)
 from .prover import (
     DEFAULT_MAX_L,
     PER_TERM,
@@ -56,10 +63,8 @@ INCREASING = "increasing"
 # width of the reported enclosures of A, B, p0 and d0
 CONSTANT_EPS = Fraction(1, 10**9)
 
-# pointwise evidence for a cascade member that is not an exact MEP:
-# interior points checked, and the enclosure width at each
+# interior points signed for a cascade member that is not an exact MEP
 EVIDENCE_SAMPLES = 7
-EVIDENCE_EPS = Fraction(1, 10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +201,7 @@ def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> Fami
     else:
         a_expr, b_expr = fam.endpoint_a_value, fam.endpoint_b_value
     gap = b_expr - a_expr
-    if gap.is_zero() or gap.sign() != 1:
+    if gap.sign() != 1:
         raise EndpointValidationError(
             "endpoint values are inconsistent with the proven monotonicity"
         )
@@ -421,28 +426,23 @@ def _member_sign_evidence(
     """Certified pointwise signs of pure(z) + sum e^(-w) M_w(z).
 
     Every sampled value is an exact finite combination of rational powers
-    of e, so equalities are recognized exactly and strict signs resolved
-    by one shared enclosure.
+    of e, so its exact sign comes from exp_sum_sign; an exact zero is
+    acceptable for the non-strict cascade.
     """
     lo, hi = z_interval
     step = (hi - lo) / (EVIDENCE_SAMPLES + 1)
     for i in range(1, EVIDENCE_SAMPLES + 1):
         z = lo + i * step
-        sums: ExpSum = {}
-        for w, mep in ((Fraction(0), sub.pure),) + sub.offsets:
-            for t in mep.terms:
-                sums = _sum_add(sums, {-t.q * z - w: t.alpha * z**t.p}, 1)
-        if not sums:
-            continue  # exact zero: acceptable for the non-strict cascade
+        value = _value_sum(sub.pure, z)
+        for w, mep in sub.offsets:
+            shifted = {s - w: c for s, c in _value_sum(mep, z).items()}
+            value = _sum_add(value, shifted, 1)
         try:
-            box = lau_enclosure(sums, EVIDENCE_EPS)
+            sgn = exp_sum_sign(value)
         except BudgetExceededError:
             return False, f"enclosure budget exhausted at z = {z}"
-        sgn = box.definite_sign()
         if sgn < 0:
             return False, f"certified negative value at z = {z}"
-        if sgn == 0:
-            return False, f"sign unresolved at z = {z} (width < {EVIDENCE_EPS})"
     return True, f"positive at {EVIDENCE_SAMPLES} interior points"
 
 

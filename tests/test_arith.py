@@ -10,15 +10,22 @@ from expocert.arith import (
     ConstExpr,
     RationalInterval,
     _common_denominator,
+    _interval_pow,
     _sum_add,
     _sum_mul,
     _sum_reciprocal,
     decimal_str,
     enclose_exp_neg,
     exp_enclosure,
+    exp_sum_sign,
     lau_enclosure,
+    quotient_enclosure,
 )
-from expocert.errors import DivisionByPossiblyZeroError, PreconditionError
+from expocert.errors import (
+    BudgetExceededError,
+    DivisionByPossiblyZeroError,
+    PreconditionError,
+)
 
 # interior reference values, correct to far beyond any eps used below
 E_REF = sum(F(1, factorial(k)) for k in range(40))
@@ -45,19 +52,21 @@ def test_interval_arithmetic():
     a = RationalInterval(F(1), F(2))
     b = RationalInterval(F(-1), F(3))
     assert (a + b) == RationalInterval(F(0), F(5))
-    assert (a - b) == RationalInterval(F(-2), F(3))
     assert (a * b) == RationalInterval(F(-2), F(6))
-    assert (-a) == RationalInterval(F(-2), F(-1))
     assert a.scale(F(-2)) == RationalInterval(F(-4), F(-2))
     assert a.reciprocal() == RationalInterval(F(1, 2), F(1))
     assert (a / a) == RationalInterval(F(1, 2), F(2))
 
 
 def test_interval_power_and_sign():
+    # powers of a positive interval, exact while the rounding grid holds them
+    base = RationalInterval(F(1, 2), F(3))
+    assert _interval_pow(base, 2, 16) == RationalInterval(F(1, 4), F(9))
+    assert _interval_pow(base, 3, 16) == RationalInterval(F(1, 8), F(27))
+    assert _interval_pow(base, 0, 16) == RationalInterval.point(1)
+    inverse = RationalInterval(F(1, 3), F(2)).outward_round(16)
+    assert _interval_pow(base, -1, 16) == inverse
     spans = RationalInterval(F(-2), F(3))
-    assert spans.power(2) == RationalInterval(F(0), F(9))
-    assert spans.power(3) == RationalInterval(F(-8), F(27))
-    assert spans.power(0) == RationalInterval.point(1)
     assert spans.definite_sign() == 0
     assert RationalInterval(F(1, 9), F(2)).definite_sign() == 1
     assert RationalInterval(F(-2), F(-1, 9)).definite_sign() == -1
@@ -65,12 +74,7 @@ def test_interval_power_and_sign():
         spans.reciprocal()
 
 
-def test_intersect_and_round():
-    a = RationalInterval(F(0), F(2))
-    b = RationalInterval(F(1), F(3))
-    assert a.intersect(b) == RationalInterval(F(1), F(2))
-    with pytest.raises(PreconditionError):
-        a.intersect(RationalInterval(F(5), F(6)))
+def test_outward_round():
     rng = random.Random(3)
     for _ in range(100):
         lo = F(rng.randint(-999, 999), rng.randint(1, 997))
@@ -203,6 +207,22 @@ def test_lau_enclosure_tightening_is_consistent():
     assert s1 == s2 == 1
 
 
+def test_quotient_enclosure_and_sign():
+    # 1/e^(-100): the denominator must first clear zero, then the quotient
+    # needs a working width about e^-200 times the target
+    box = quotient_enclosure({F(0): F(1)}, {F(-100): F(1)}, F(1, 10**6))
+    assert box.width < F(1, 10**6)
+    assert contains_ref(box, sum(F(100**k, factorial(k)) for k in range(400)))
+    with pytest.raises(DivisionByPossiblyZeroError):
+        quotient_enclosure({F(0): F(1)}, {}, F(1, 10))
+    # exact zero, and a nonzero value far below any fixed width
+    assert exp_sum_sign({}) == 0
+    assert exp_sum_sign({F(-500): F(1)}) == 1
+    assert exp_sum_sign({F(-500): F(-1), F(-501): F(2)}) == -1
+    with pytest.raises(BudgetExceededError):
+        exp_sum_sign({F(-1500): F(1)})
+
+
 def test_decimal_str():
     assert decimal_str(F(1, 3), 6) == "0.333333"
     assert decimal_str(F(-1, 3), 6) == "-0.333333"
@@ -211,3 +231,77 @@ def test_decimal_str():
     assert decimal_str(F(1, 2), 0) == "0"
     with pytest.raises(PreconditionError):
         decimal_str(F(1, 3), -1)
+
+
+def test_const_expr_against_sympy():
+    # random constants from rationals and e under + - * / and integer
+    # powers, built twice: as ConstExpr, and in sympy with a symbol t for e.
+    # Since e is transcendental, the constant is zero exactly when sympy
+    # cancels the rational function of t to 0.
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import assume, given, settings, strategies as st
+
+    from expocert.expr import parse_expression, to_const
+
+    t = sympy.Symbol("t")
+    leaf = st.one_of(
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).map(
+            lambda q: ("rat", q)
+        ),
+        st.just(("e",)),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), inner, inner),
+            st.tuples(st.just("pow"), inner, st.integers(-2, 3)),
+        )
+
+    def build(tree):
+        """(ConstExpr, sympy expression in t, whether a divisor is exactly 0)"""
+        if tree[0] == "rat":
+            return ConstExpr.rational(tree[1]), sympy.Rational(str(tree[1])), False
+        if tree[0] == "e":
+            return ConstExpr.e(), t, False
+        if tree[0] == "pow":
+            c, s, bad = build(tree[1])
+            bad = bad or (tree[2] < 0 and sympy.cancel(s) == 0)
+            return c ** tree[2], s ** tree[2], bad
+        (a, sa, bad_a), (b, sb, bad_b) = build(tree[1]), build(tree[2])
+        bad = bad_a or bad_b
+        if tree[0] == "add":
+            return a + b, sa + sb, bad
+        if tree[0] == "sub":
+            return a - b, sa - sb, bad
+        if tree[0] == "mul":
+            return a * b, sa * sb, bad
+        bad = bad or sympy.cancel(sb) == 0
+        return a / b, (sa / sb if not bad else sympy.Integer(0)), bad
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        tree=st.recursive(leaf, extend, max_leaves=6),
+        eps=st.sampled_from([F(1, 10), F(1, 10**12), F(1, 10**30)]),
+    )
+    def check(tree, eps):
+        c, s, divides_by_zero = build(tree)
+        if divides_by_zero:
+            for use in (c.is_zero, c.sign, lambda: c.enclosure(eps)):
+                with pytest.raises(DivisionByPossiblyZeroError):
+                    use()
+            return
+        exact_zero = sympy.cancel(s) == 0
+        assert c.is_zero() == exact_zero
+        value = s.subs(t, sympy.E).evalf(80)
+        tol = sympy.Float(10, 80) ** -60 * (1 + abs(value))
+        assume(exact_zero or abs(value) > tol)
+        assert c.sign() == (0 if exact_zero else (1 if value > 0 else -1))
+        box = c.enclosure(eps)
+        assert box.width < eps
+        lo = sympy.Rational(box.lo.numerator, box.lo.denominator)
+        hi = sympy.Rational(box.hi.numerator, box.hi.denominator)
+        assert lo - tol <= value <= hi + tol
+        assert (to_const(parse_expression(c.text())) - c).is_zero()
+
+    check()

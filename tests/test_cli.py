@@ -143,13 +143,37 @@ def test_prove_denominator_sign_unknown_counterexample(capsys):
 
 
 def test_prove_scan_budget_names_both_budgets(capsys):
-    # the search exhausts max_l, then the scan hits the enclosure order cap
-    # at x = 5800/41; neither verdict may hide the other
+    # exp(-x) is positive at every scanned point of (0, 200): the scan signs
+    # each one exactly, so only the search limit is left to report
     assert cli.run(["prove", "exp(-x) > 0", "--on", "0,200"]) == 2
+    assert capsys.readouterr().err == (
+        "undecided: no valid bound up to l = 20 (last P had 1 interior roots)\n"
+    )
+    # on (0, 20000) the third point, x = 60000/41, has exp(-x) below the
+    # sign routine's 2^-2048 cap; neither verdict may hide the other
+    assert cli.run(["prove", "exp(-x) > 0", "--on", "0,20000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("undecided: no valid bound up to l = 20")
-    assert "the counterexample scan then stopped: exp(-5800/41) not enclosed" in err
-    assert err.rstrip().endswith("within order cap")
+    assert err.endswith(
+        "; the counterexample scan then stopped: sign of a nonzero exponential "
+        "sum not resolved at width 2^-2048\n"
+    )
+
+
+def test_prove_disproves_a_tiny_negative_quotient(capsys):
+    # past x = 100 the quotient is negative but only about -1e-43: its sign
+    # is exact, and the printed enclosure is narrowed until it lies below 0
+    args = ["prove", "exp(-x)/(1 - exp(-x) - x/100) > 0", "--on", "0,200"]
+    assert cli.run(args) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "disproven: at x = 4200/41 the reduced form is certified negative"
+    )
+    assert cli.run(args + ["--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["witness"]["x"] == "4200/41"
+    lo, hi = (F(v) for v in data["witness"]["reduced_value"])
+    assert -F(1, 10**42) < lo <= hi < 0
 
 
 def test_prove_search_exhausted(capsys):

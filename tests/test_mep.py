@@ -168,7 +168,70 @@ def test_eval_enclosure_matches_finite_difference():
     g = Mep(G_TERMS)
     dg = g.differentiate()
     x, h = F(1, 2), F(1, 1000)
-    num = eval_enclosure(g, x + h, F(1, 10**15)) - eval_enclosure(g, x - h, F(1, 10**15))
+    left = eval_enclosure(g, x - h, F(1, 10**15))
+    num = eval_enclosure(g, x + h, F(1, 10**15)) + left.scale(-1)
     fd = num.scale(1 / (2 * h))
     exact = eval_enclosure(dg, x, F(1, 10**15))
     assert abs(fd.midpoint - exact.midpoint) < F(1, 10**4)
+
+
+def test_eval_enclosure_against_sympy():
+    # small random MEPs and quotients at random rationals: the enclosure
+    # holds sympy's value, and a denominator that is exactly zero there is
+    # refused. With y = e^(-x) transcendental for rational x > 0, a sum
+    # vanishes exactly when every c_q(x) does; at x = 0 it is sum c_q(0).
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    term = st.tuples(
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    terms = st.lists(term, min_size=1, max_size=5)
+
+    def value(raw, x):
+        X = sympy.Rational(x.numerator, x.denominator)
+        return sum(
+            (sympy.Rational(a.numerator, a.denominator) * X**p * sympy.exp(-q * X)
+             for a, p, q in raw),
+            sympy.Integer(0),
+        )
+
+    def coefficients_at(raw, x):
+        by_q = {}
+        for a, p, q in raw:
+            by_q[q if x else 0] = by_q.get(q if x else 0, 0) + a * x**p
+        return by_q
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        num=terms,
+        den=st.one_of(st.none(), terms),
+        vanish=st.booleans(),
+        x=st.fractions(min_value=0, max_value=6, max_denominator=9),
+        eps=st.sampled_from([F(1, 10), F(1, 10**12), F(1, 10**30)]),
+    )
+    def check(num, den, vanish, x, eps):
+        f = Mep(num)
+        want = value(num, x)
+        if den is not None and vanish:
+            # cancel every c_q(x): the sum vanishes at x, not as a function
+            den = den + [(-c, 0, q) for q, c in coefficients_at(den, x).items()]
+        if den is not None and not Mep(den).is_zero:
+            f = ExpRational(f, Mep(den))
+            if all(c == 0 for c in coefficients_at(den, x).values()):
+                with pytest.raises(DenominatorSignUnknownError):
+                    eval_enclosure(f, x, eps)
+                return
+            want = want / value(den, x)
+        box = eval_enclosure(f, x, eps)
+        assert box.width < eps
+        v = want.evalf(80)
+        tol = sympy.Float(10, 80) ** -60 * (1 + abs(v))
+        lo = sympy.Rational(box.lo.numerator, box.lo.denominator)
+        hi = sympy.Rational(box.hi.numerator, box.hi.denominator)
+        assert lo - tol <= v <= hi + tol
+
+    check()

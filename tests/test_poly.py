@@ -21,6 +21,10 @@ def P(*coeffs):
     return Polynomial([F(c) for c in coeffs])
 
 
+def power(p, m):
+    return math.prod([p] * m, start=P(1))
+
+
 def test_canonical_form():
     assert P(1, 2, 0, 0) == P(1, 2)
     assert Polynomial.zero().degree == -1
@@ -131,7 +135,7 @@ def test_sturm_oracle_repeated_factors():
             roots.add(F(rng.randint(-10, 10), rng.randint(1, 5)))
         p = P(1)
         for r in roots:
-            p = p * P(-r, 1) ** rng.randint(1, 3)
+            p = p * power(P(-r, 1), rng.randint(1, 3))
         expected = sum(1 for r in roots if -12 < r < 12)
         assert count_roots_open(p, F(-12), F(12)) == expected
 
@@ -233,7 +237,7 @@ def test_integer_prs_against_sympy():
             roots = roots + [((a, b)[at_endpoint], 1)]
         p = P(lead)
         for r, m in roots:
-            p = p * P(-r, 1) ** m
+            p = p * power(P(-r, 1), m)
         if quadratic:
             p = p * P(quadratic, 0, 1)  # x^2 + c: no real roots, or +-sqrt(-c)
         want = to_sympy(p).count_roots(a, b) - (p(a) == 0) - (p(b) == 0)
@@ -251,7 +255,7 @@ def test_integer_prs_against_sympy():
 
         q = P(1)
         for r, m in roots[:shared]:
-            q = q * P(-r, 1) ** m
+            q = q * power(P(-r, 1), m)
         g = to_sympy(p).gcd(to_sympy(q)).primitive()[1]
         g = from_sympy(g if g.LC() > 0 else -g)
         assert poly_gcd(p, q) == g
