@@ -41,7 +41,11 @@ COMMANDS = [
     ["prove", "x^2 - x + 1/4 >= 0", "--on", "0,1"],
     ["prove", "exp(-x) > 1 - x", "--on", "0,30", "--max-l", "40", "--json"],
     ["prove", "exp(-x) > 1 - x", "--on", "0,30"],
+    ["prove", "exp(-x) > 1 - x", "--on", "0,30", "--max-l", "40", "--cert", "w.json"],
+    ["verify", "w.json"],
     ["prove", "exp(-x) > 0", "--on", "0,200"],
+    ["prove", "exp(-x) > 0", "--on", "0,20000"],
+    ["prove", "exp(-x) > exp(-2*x)", "--on", "0,20000"],
     ["prove", "exp(-x)/(1 - exp(-x) - x/100) > 0", "--on", "0,200"],
     ["prove", G, "--on", "0,1", "--cert", "g.json"],
     ["verify", "g.json"],
