@@ -15,8 +15,9 @@ grid point's two sides, a constant in e (ConstExpr). Distinct e^s are
 linearly independent over Q, so such a sum is zero only when it has no
 terms. `lau_enclosure` encloses every sum through powers of one
 tau = e^(1/D) with 1/D <= 1, so a large |s| needs no high Maclaurin
-order; `exp_sum_sign` tightens it until it clears zero, and
-`quotient_enclosure` divides two.
+order; `exp_sum_sign` reads the sign of a one-signed sum off its
+coefficients and otherwise tightens the enclosure until it clears zero,
+and `quotient_enclosure` divides two.
 """
 
 from __future__ import annotations
@@ -324,13 +325,19 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
 def exp_sum_sign(a: ExpSum) -> int:
     """Exact sign of sum c * e^s: 0 for {} and only for {}.
 
-    Distinct e^s are linearly independent over Q (Lindemann-Weierstrass),
-    so a nonempty sum is nonzero and a narrow enough lau_enclosure clears
-    zero. The width is squared until it does; a value smaller than
+    Every e^s is positive, so coefficients of one sign give the sign
+    outright, however small the value. Otherwise distinct e^s are linearly
+    independent over Q (Lindemann-Weierstrass), so a nonempty sum is
+    nonzero and a narrow enough lau_enclosure clears zero. The width is
+    squared until it does; a mixed-sign value smaller than
     2^-SIGN_BITS_CAP raises BudgetExceededError.
     """
     if not a:
         return 0
+    if all(c > 0 for c in a.values()):
+        return 1
+    if all(c < 0 for c in a.values()):
+        return -1
     bits = 16
     while bits <= SIGN_BITS_CAP:
         sgn = lau_enclosure(a, Fraction(1, 1 << bits)).definite_sign()

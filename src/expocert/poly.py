@@ -11,13 +11,14 @@ taken homogeneously as ``d**deg * P(n/d)``, which has the sign of
 ``P(n/d)``. ``sample_refutes`` evaluates a polynomial at a few fixed
 rationals of an interval and reports a nonpositive interior value (or a
 negative endpoint value), which settles "not positive" without any
-remainder sequence. Otherwise root counting goes through Sturm chains of
-the squarefree part. The gcd and the Sturm chain use one primitive
-pseudo-remainder sequence: each remainder is computed on integer
-coefficient lists after multiplying by a positive power of the divisor's
-leading coefficient, then reduced to its primitive part. The positive
-factors change no sign, so every member equals the primitive part of the
-exact rational remainder.
+remainder sequence. Otherwise root counting goes through a Sturm chain of
+the squarefree part, which SturmChain finds without a separate gcd when
+x^k is P's only repeated factor. The gcd and the Sturm chain are both
+primitive pseudo-remainder sequences: each remainder is computed on
+integer coefficient lists after multiplying by a positive power of the
+divisor's leading coefficient, then reduced to its primitive part. The
+positive factors change no sign, so every member equals the primitive
+part of the exact rational remainder.
 
 Interval conventions: ``count_roots_open`` and ``is_positive_on`` speak
 about the open interval (a, b). Roots exactly at an endpoint are never
@@ -284,6 +285,20 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return [-c for c in a] if a and a[-1] < 0 else a
 
 
+def _sturm_ints(head: list[int]) -> list[list[int]]:
+    """head, its derivative and the negated primitive pseudo-remainders,
+    until a constant or until the remainder vanishes."""
+    ints = [head]
+    if len(head) > 1:
+        ints.append(_primitive([i * c for i, c in enumerate(head)][1:]))
+        while len(ints[-1]) > 1:
+            rem = _pseudo_remainder(ints[-2], ints[-1])
+            if not rem:
+                break
+            ints.append(_primitive([-c for c in rem]))
+    return ints
+
+
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     """a / b for integer lists where b divides a with an integer quotient."""
     r = list(a)
@@ -325,11 +340,15 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 
 class SturmChain:
-    """Canonical Sturm sequence of a squarefree polynomial.
+    """Canonical Sturm sequence of the squarefree part of a nonzero polynomial.
 
-    Sign-variation counts V(t) skip zero entries; for squarefree P and
-    a < b, V(a) - V(b) is the number of distinct roots in the half-open
-    interval (a, b]. The members after the head are P', then the negated
+    Sign-variation counts V(t) skip zero entries; for a < b, V(a) - V(b)
+    is the number of distinct roots in the half-open interval (a, b]. The
+    head ``poly`` is P made primitive with a power x^k cut to x (a Maclaurin
+    bound P often has such a factor and no other repeated one). When that
+    head's chain ends in a nonzero constant the head is squarefree and the
+    chain is kept; otherwise it is rebuilt from squarefree_part(P). The
+    members after the head are the head's derivative, then the negated
     remainders, each reduced to its primitive part, which only rescales by
     positive rationals and so changes no signs. They are computed and
     evaluated as integer lists, cached in ``_ints``; ``chain`` holds the
@@ -338,20 +357,16 @@ class SturmChain:
 
     __slots__ = ("poly", "chain", "_ints")
 
-    def __init__(self, squarefree: Polynomial):
-        if squarefree.is_zero:
+    def __init__(self, p: Polynomial):
+        if p.is_zero:
             raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-        ints = [_integer_coeffs(squarefree)]
-        if squarefree.degree >= 1:
-            ints.append(_integer_coeffs(squarefree.derivative()))
-            while len(ints[-1]) > 1:
-                rem = _pseudo_remainder(ints[-2], ints[-1])
-                if not rem:
-                    # cannot happen for a squarefree head; guard anyway
-                    break
-                ints.append(_primitive([-c for c in rem]))
-        self.poly = squarefree
-        self.chain = (squarefree, *(Polynomial(cs) for cs in ints[1:]))
+        cs = _integer_coeffs(p)
+        k = next(i for i, c in enumerate(cs) if c)
+        ints = _sturm_ints(cs[max(k - 1, 0):])
+        if len(ints[-1]) > 1:  # ends in gcd(head, head'): a repeated factor
+            ints = _sturm_ints(_integer_coeffs(squarefree_part(p)))
+        self.poly = Polynomial(ints[0])
+        self.chain = (self.poly, *(Polynomial(m) for m in ints[1:]))
         self._ints = ints
 
     def variations_at(self, t) -> int:
@@ -388,7 +403,7 @@ def count_roots_open(p: Polynomial, a, b) -> int:
     if p.is_zero:
         raise ZeroPolynomialError("root counting needs a nonzero polynomial")
     a, b = _check_open(a, b)
-    return SturmChain(squarefree_part(p)).roots_in_open(a, b)
+    return SturmChain(p).roots_in_open(a, b)
 
 
 # sample_refutes tries a + (b - a) * k / SAMPLE_PARTS for 0 < k < SAMPLE_PARTS

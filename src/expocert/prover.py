@@ -15,8 +15,8 @@ for every bounded unit, deepened until the Sturm test passes or the depth
 budget runs out. Most depths fail, so each P first meets an exact sample
 test (`sample_refutes`): a nonpositive value at one of a few fixed
 interior rationals, or a negative endpoint value, rejects the depth
-without a squarefree part or a Sturm chain. Such a P would fail the Sturm
-test too, so the first passing depth and its certificate do not change.
+without a Sturm chain. Such a P would fail the Sturm test too, so the
+first passing depth and its certificate do not change.
 The root count that an exhausted search reports is taken once, from its
 last P. A greedy per-unit descent (`minimize_assignment`) can then shrink
 the orders, which tends to shrink deg P as well.
@@ -43,7 +43,6 @@ from .poly import (
     count_roots_open,
     is_positive_on,
     sample_refutes,
-    squarefree_part,
 )
 from .taylor import maclaurin, select_order
 from .arith import RationalInterval
@@ -267,7 +266,8 @@ def _attempt(
     passthrough: Polynomial,
     assignment: tuple[AssignmentEntry, ...],
 ) -> tuple[Optional[Certificate], Polynomial]:
-    """Build P for one assignment and check it: samples, then Sturm.
+    """Build P for one assignment and check it: samples, then the Sturm
+    chain of P's squarefree part (SturmChain takes P as it is).
 
     Returns (certificate or None, P); a failing P feeds the diagnostics of
     an exhausted search. A P that degenerates to the zero polynomial
@@ -277,11 +277,10 @@ def _attempt(
     total = _bound_poly(units, passthrough, assignment)
     if total.is_zero or sample_refutes(total, a, b):
         return None, total
-    sf = squarefree_part(total)
-    chain = SturmChain(sf)
+    chain = SturmChain(total)
     v_a = chain.variations_at(a)
     v_b = chain.variations_at(b)
-    adjust = 1 if sf.eval(b) == 0 else 0
+    adjust = 1 if total.eval(b) == 0 else 0
     roots = v_a - v_b - adjust
     mid = (a + b) / 2
     value = total.eval(mid)
@@ -343,9 +342,10 @@ def prove_sign(
     """Certify f > 0 (sign +1) or -f > 0 (sign -1) on the interval.
 
     The sign of f at the midpoint picks which direction to try first, so
-    the usual case costs one search; a value too small to sign leaves
-    f > 0 first. When neither direction is proved, the
-    SearchExhaustedError of the second attempt is raised.
+    the usual case costs one search; a mixed-sign value too small to sign
+    leaves f > 0 first (a one-signed value is always signed). When
+    neither direction is proved, the SearchExhaustedError of the second
+    attempt is raised.
     """
     if f.is_zero:
         raise DegenerateInputError("expression is identically zero")
@@ -479,11 +479,10 @@ def verify_certificate_report(cert: Certificate) -> tuple[bool, str]:
     if rebuilt.is_zero:
         return False, "bounding polynomial is zero"
 
-    sf = squarefree_part(rebuilt)
-    chain = SturmChain(sf)
+    chain = SturmChain(rebuilt)
     v_a = chain.variations_at(a)
     v_b = chain.variations_at(b)
-    adjust = 1 if sf.eval(b) == 0 else 0
+    adjust = 1 if rebuilt.eval(b) == 0 else 0
     if (v_a, v_b, adjust) != (cert.v_a, cert.v_b, cert.endpoint_adjust):
         return False, (
             f"sturm data recomputes to ({v_a}, {v_b}, {adjust}), "

@@ -219,8 +219,10 @@ def test_quotient_enclosure_and_sign():
     assert exp_sum_sign({}) == 0
     assert exp_sum_sign({F(-500): F(1)}) == 1
     assert exp_sum_sign({F(-500): F(-1), F(-501): F(2)}) == -1
+    # a mixed-sign value below 2^-2048 is not signed; one sign needs no width
     with pytest.raises(BudgetExceededError):
-        exp_sum_sign({F(-1500): F(1)})
+        exp_sum_sign({F(-1500): F(1), F(-1501): F(-1)})
+    assert exp_sum_sign({F(-1500): F(-1), F(-1501): F(-3)}) == -1
 
 
 def test_decimal_str():
@@ -303,5 +305,42 @@ def test_const_expr_against_sympy():
         hi = sympy.Rational(box.hi.numerator, box.hi.denominator)
         assert lo - tol <= value <= hi + tol
         assert (to_const(parse_expression(c.text())) - c).is_zero()
+
+    check()
+
+
+def test_exp_sum_sign_against_sympy():
+    # one-signed sums are signed however small (exponents down to -3000,
+    # far below the 2^-2048 enclosure cap); mixed sums of moderate size
+    # must agree with sympy's value at 60 digits
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    def value(a):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.exp(sympy.Rational(s.numerator, s.denominator))
+                   for s, c in a.items())
+
+    def as_sum(terms):
+        return _sum_add({}, {s: c for s, c in terms}, 1)
+
+    coeff = st.fractions(min_value=1, max_value=9, max_denominator=5)
+    deep = st.fractions(min_value=-3000, max_value=40, max_denominator=7)
+    near = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    signed = st.integers(-9, 9).filter(bool).map(F)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        one_signed=st.lists(st.tuples(deep, coeff), min_size=1, max_size=5),
+        sign=st.sampled_from([1, -1]),
+        mixed=st.lists(st.tuples(near, signed), min_size=1, max_size=5),
+    )
+    def check(one_signed, sign, mixed):
+        a = as_sum((s, sign * c) for s, c in one_signed)
+        assert exp_sum_sign(a) == sign == sympy.sign(value(a))
+        b = as_sum(mixed)
+        want = sympy.sign(value(b).evalf(60)) if b else 0
+        assert exp_sum_sign(b) == want
 
     check()

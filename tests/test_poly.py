@@ -261,3 +261,59 @@ def test_integer_prs_against_sympy():
         assert poly_gcd(p, q) == g
 
     check()
+
+
+def _rational_squarefree(p):
+    """p / gcd(p, p') by the rational Euclidean algorithm: the first of the
+    two remainder sequences that SturmChain usually avoids."""
+    a, b = p, p.derivative()
+    while not b.is_zero:
+        a, b = b, a.divmod(b)[1]
+    return p.divmod(a)[0] if a.degree >= 1 else p
+
+
+def _variations(chain, t):
+    signs = [s for s in (m(t) for m in chain) if s != 0]
+    return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
+
+
+def test_sturm_chain_of_any_polynomial_against_sympy():
+    # SturmChain(p) for p = lead * x^k * prod (x - r)^m * (x^2 + c): its head
+    # is sympy's primitive squarefree part with p's leading sign, and its
+    # sign variations match the chain of a separately computed squarefree
+    # part at a, b, 0 and every rational root
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    x = sympy.Symbol("x")
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], x)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 4),
+        roots=st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=4),
+        lead=st.sampled_from([F(-3), F(-1, 2), F(1), F(5, 3)]),
+        c=st.integers(-4, 4),
+        interval=st.tuples(rationals, rationals).filter(lambda ab: ab[0] != ab[1]),
+    )
+    def check(k, roots, lead, c, interval):
+        p = Polynomial.monomial(lead, k) * P(c, 0, 1)
+        for r, m in roots:
+            p = p * power(P(-r, 1), m)
+        chain = SturmChain(p)
+
+        want = sympy.sqf_part(to_sympy(p)).primitive()[1]
+        want = Polynomial(list(reversed([F(str(v)) for v in want.all_coeffs()])))
+        assert chain.poly == (want if want.leading * p.leading > 0 else -want)
+
+        reference = _rational_sturm_chain(_rational_squarefree(p))
+        a, b = sorted(interval)
+        for t in (a, b, F(0), *(r for r, _ in roots)):
+            assert chain.variations_at(t) == _variations(reference, t), t
+
+    check()
