@@ -58,6 +58,12 @@ COMMANDS = [
         "family", "1/x^2 - exp(-x)/(1 - exp(-x))^2", "--on", "0,1",
         "--endpoint-a", "1/12", "--endpoint-b", "(e^2 - 3*e + 1)/(e - 1)^2", "--json",
     ],
+    [
+        "family", "1/x^2 - exp(-x)/(1 - exp(-x))^2", "--on", "0,1",
+        "--endpoint-a", "1/12 + 1/10^6", "--endpoint-b", "(e^2 - 3*e + 1)/(e - 1)^2",
+    ],
+    ["family", "exp(-x)", "--on", "0,1", "--endpoint-a", "1", "--endpoint-b", "1/e + 1/10^6"],
+    ["family", "1/x", "--on", "0,1", "--endpoint-a", "1", "--endpoint-b", "1"],
     ["family", "(x - 1/2)^2", "--on", "0,1", "--endpoint-a", "1/4", "--endpoint-b", "1/4"],
     ["family", "1", "--on", "0,1", "--endpoint-a", "1", "--endpoint-b", "1"],
     ["eval", "(e^2 - 3*e + 1)/(e - 1)^2"],
