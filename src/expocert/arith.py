@@ -137,6 +137,19 @@ class RationalInterval:
 # the exp(-t) bracket
 
 
+def _brackets(t: Fraction):
+    """Yield (T_{2m-1}(t), T_{2m}(t), t^(2m)/(2m)!) for m = 1, 2, ... up
+    to MACLAURIN_ORDER_CAP, each extending the previous partial sum by two
+    terms."""
+    acc = Fraction(1)
+    term = Fraction(1)
+    for k in range(1, 2 * MACLAURIN_ORDER_CAP + 1):
+        term *= -t / k
+        acc += term
+        if k % 2 == 0:  # the last term added is +t^(2m)/(2m)!
+            yield acc - term, acc, term
+
+
 def enclose_exp_neg(t, eps, m_force: int | None = None) -> RationalInterval:
     """Enclose exp(-t) for rational t >= 0 in [T_{2m-1}(t), T_{2m}(t)].
 
@@ -154,37 +167,18 @@ def enclose_exp_neg(t, eps, m_force: int | None = None) -> RationalInterval:
         raise PreconditionError("eps must be positive")
     if t == 0:
         return RationalInterval.point(1)
-
-    acc = Fraction(1)
-    term = Fraction(1)
-    k = 0
-    m = 0
-    while True:
-        m += 1
-        if m > MACLAURIN_ORDER_CAP:
-            raise BudgetExceededError(
-                f"exp(-{t}) not enclosed to width {eps} within order cap"
-            )
-        # extend the partial sum through k = 2m
-        while k < 2 * m:
-            k += 1
-            term *= -t / k
-            acc += term
-        lo = acc - term  # T_{2m-1}; the last term added is +t^(2m)/(2m)!
-        hi = acc
-        if m_force is not None:
-            if m == m_force:
-                return RationalInterval(lo, hi)
-            continue
-        if term < eps:
+    for m, (lo, hi, width) in enumerate(_brackets(t), 1):
+        if (width < eps) if m_force is None else (m == m_force):
             return RationalInterval(lo, hi)
+    raise BudgetExceededError(f"exp(-{t}) not enclosed to width {eps} within order cap")
 
 
 def exp_enclosure(s, eps) -> RationalInterval:
     """Enclose exp(s) for a rational s of either sign, to width < eps.
 
-    Positive s goes through the reciprocal of the exp(-s) bracket, with
-    the inner tolerance tightened until the reciprocal is narrow enough.
+    Positive s goes through the reciprocal of the exp(-s) bracket: from
+    the first bracket narrower than eps (1/2 if eps >= 1) on, the partial
+    sum is extended until the reciprocal is narrow enough.
     """
     s = _rat(s)
     eps = _rat(eps)
@@ -193,13 +187,10 @@ def exp_enclosure(s, eps) -> RationalInterval:
     if s <= 0:
         return enclose_exp_neg(-s, eps)
     inner = eps if eps < 1 else Fraction(1, 2)
-    while True:
-        box = enclose_exp_neg(s, inner)
-        if box.lo > 0:
-            rec = box.reciprocal()
-            if rec.width < eps:
-                return rec
-        inner /= 4
+    for lo, hi, width in _brackets(s):
+        if width < inner and lo > 0 and 1 / lo - 1 / hi < eps:
+            return RationalInterval(1 / hi, 1 / lo)
+    raise BudgetExceededError(f"exp({s}) not enclosed to width {eps} within order cap")
 
 
 # ---------------------------------------------------------------------------

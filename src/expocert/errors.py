@@ -88,6 +88,6 @@ class MonotonicityUnprovenError(ExpocertError):
 
 
 class EndpointValidationError(ExpocertError):
-    """The supplied endpoint limit value failed the shrinking-delta
-    consistency check against certified enclosures of the family."""
+    """A claimed endpoint limit is not the limit of f there: the exact
+    l'Hopital test found a different value or a pole."""
 

@@ -8,8 +8,8 @@ prover and the interval arithmetic can certify):
   numerator and denominator of f'; the endpoint limits A < B of f then
   split the parameter line into three zones, and the minimax member sits
   exactly in the middle: p0 = (A+B)/2 with error d0 = (B-A)/2. A and B
-  enter as exact expressions in e and are validated against shrinking
-  one-sided enclosures of f.
+  enter as exact expressions in e, and each is checked exactly against
+  the limit of f at its endpoint (l'Hopital on exact values).
 
 * `cascade_check` handles families with the parameter inside the
   exponent. It verifies the layered pattern "value and first derivative
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import ConstExpr, RationalInterval, _sum_add, exp_sum_sign, lau_enclosure
+from .arith import ConstExpr, RationalInterval, _sum_add, _sum_mul, exp_sum_sign, lau_enclosure
 from .errors import (
     BudgetExceededError,
     EndpointValidationError,
@@ -41,14 +41,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .expr import InequalityAst, exp_sum_at
-from .mep import (
-    ExpRational,
-    Mep,
-    _stretch,
-    _value_sum,
-    differentiate_quotient,
-    eval_enclosure,
-)
+from .mep import ExpRational, Mep, _stretch, _value_sum, differentiate_quotient
 from .prover import (
     DEFAULT_MAX_L,
     PER_TERM,
@@ -76,7 +69,7 @@ class AffineFamily:
     """f together with its interval and claimed one-sided endpoint limits.
 
     The limits are exact expressions (rational functions of e); the
-    analyzer does not derive them, it validates them.
+    analyzer does not derive them, it decides exactly whether they hold.
     """
 
     f: ExpRational
@@ -119,55 +112,34 @@ class FamilyReport:
         }
 
 
-def _interval_gap(p: RationalInterval, q: RationalInterval) -> Fraction:
-    """Distance between two intervals; 0 when they overlap."""
-    return max(Fraction(0), p.lo - q.hi, q.lo - p.hi)
+def _check_endpoint(f: ExpRational, at: Fraction, claimed: ConstExpr) -> None:
+    """Decide exactly whether f(x) -> claimed as x -> at.
 
-
-def _validate_endpoint(
-    f: ExpRational,
-    at: Fraction,
-    direction: int,
-    claimed: ConstExpr,
-    span: Fraction,
-) -> None:
-    """Check that enclosures of f(at + direction*delta) home in on the
-    claimed limit along delta = span * 2^-k, k = 3..12.
-
-    Two requirements: the interval-to-interval distance d_k must never
-    grow (beyond enclosure-width slack), and the final distance must have
-    dropped to at most a quarter of the first. A wrong claimed value
-    makes d_k level off at the discrepancy, which fails the second test.
+    The values of f's numerator N and denominator D at the rational point
+    are exact sums of rational multiples of e^s. While D's value is zero,
+    a nonzero N value means a pole; otherwise both are replaced by their
+    derivatives (l'Hopital). N and D are entire and D is not the zero
+    function, so this ends. The limit n/d then equals c_num/c_den exactly
+    when n*c_den - c_num*d is the empty sum: distinct e^s are linearly
+    independent over Q.
     """
-    value_eps = Fraction(1, 10**12)
-    value_box = claimed.enclosure(value_eps)
-    dists: list[Fraction] = []
-    epses: list[Fraction] = []
-    for k in range(3, 13):
-        delta = span / 2**k
-        eps_k = delta * delta / 2**20
-        x = at + direction * delta
-        box = eval_enclosure(f, x, eps_k)
-        dists.append(_interval_gap(box, value_box))
-        epses.append(eps_k)
-    for i in range(len(dists) - 1):
-        slack = epses[i] + epses[i + 1] + 2 * value_eps
-        if dists[i + 1] > dists[i] + slack:
+    num, den = f.numerator, f.denominator
+    n, d = _value_sum(num, at), _value_sum(den, at)
+    while not d:
+        if n:
             raise EndpointValidationError(
-                f"approach to {claimed.text()} at x = {at} is not monotone "
-                f"(step {i}: {dists[i]} -> {dists[i + 1]})"
+                f"f has a pole at x = {at}, so it does not tend to {claimed.text()}"
             )
-    total_slack = epses[0] + epses[-1] + 2 * value_eps
-    if dists[-1] > dists[0] / 4 + total_slack:
-        raise EndpointValidationError(
-            f"enclosures of f near x = {at} do not converge to "
-            f"{claimed.text()} (distance stuck near {dists[-1]})"
-        )
+        num, den = num.differentiate(), den.differentiate()
+        n, d = _value_sum(num, at), _value_sum(den, at)
+    c_num, c_den = claimed._checked()
+    if _sum_add(_sum_mul(n, c_den), _sum_mul(c_num, d), -1):
+        raise EndpointValidationError(f"f does not tend to {claimed.text()} at x = {at}")
 
 
 def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> FamilyReport:
-    """Full pipeline for phi_p = f - p: monotonicity proof, endpoint
-    validation, and the equioscillation constants.
+    """Full pipeline for phi_p = f - p: monotonicity proof, the exact
+    endpoint limit test, and the equioscillation constants.
 
     Stratification in p itself is trivial (d phi_p / d p = -1), so the
     real work is strict monotonicity of f in x: the quotient rule gives
@@ -180,7 +152,6 @@ def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> Fami
     a, b = Fraction(fam.interval[0]), Fraction(fam.interval[1])
     if not 0 <= a < b:
         raise PreconditionError("need rational endpoints 0 <= a < b")
-    span = b - a
 
     deriv = differentiate_quotient(fam.f)
     try:
@@ -193,8 +164,8 @@ def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> Fami
     slope = num_sign * den_sign
     monotone = INCREASING if slope > 0 else DECREASING
 
-    _validate_endpoint(fam.f, a, +1, fam.endpoint_a_value, span)
-    _validate_endpoint(fam.f, b, -1, fam.endpoint_b_value, span)
+    _check_endpoint(fam.f, a, fam.endpoint_a_value)
+    _check_endpoint(fam.f, b, fam.endpoint_b_value)
 
     if monotone == DECREASING:
         a_expr, b_expr = fam.endpoint_b_value, fam.endpoint_a_value

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .arith import MACLAURIN_ORDER_CAP, RationalInterval, enclose_exp_neg
+from .arith import RationalInterval, _brackets
 from .errors import BudgetExceededError, PreconditionError
 from .poly import Polynomial
 
@@ -91,13 +92,11 @@ def gap_enclosure(n: int, x, eps) -> RationalInterval:
     if x == 0:
         return RationalInterval.point(0)
     tn = maclaurin(n).poly.eval(x)
-    m = (n + 1) // 2 + 1
-    while m <= MACLAURIN_ORDER_CAP:
-        box = enclose_exp_neg(x, eps, m_force=m)
-        out = RationalInterval(tn - box.hi, tn - box.lo)
+    # brackets from m = (n + 1)//2 + 1 on, whose orders exceed n
+    for lo, hi, _ in islice(_brackets(x), (n + 1) // 2, None):
+        out = RationalInterval(tn - hi, tn - lo)
         if out.width < eps and out.definite_sign() != 0:
             return out
-        m += 1
     raise BudgetExceededError(f"gap F_{n}({x}) not resolved within order cap")
 
 

@@ -113,6 +113,24 @@ def test_exp_enclosure_both_signs():
     assert contains_ref(big, sum(F(5**k, factorial(k)) for k in range(80)))
 
 
+def test_exp_enclosure_matches_retry_reference():
+    # the former exp_enclosure for s > 0: restart the exp(-s) bracket with
+    # the tolerance quartered until its reciprocal is narrow enough. For
+    # s = 1/D <= 1, walking one partial sum must pick the same bracket.
+    def reference(s, eps):
+        inner = eps if eps < 1 else F(1, 2)
+        while True:
+            box = enclose_exp_neg(s, inner)
+            if box.lo > 0 and box.reciprocal().width < eps:
+                return box.reciprocal()
+            inner /= 4
+
+    for d in range(1, 7):
+        for bits in (0, 1, 2, 5, 16, 33, 64, 100, 257, 700):
+            for eps in (F(1, 2**bits), F(3, 2**bits), F(1, 10**bits)):
+                assert exp_enclosure(F(1, d), eps) == reference(F(1, d), eps)
+
+
 def test_const_expr_rational_degenerate():
     c = ConstExpr.rational(F(3, 4))
     assert c.enclosure(F(1, 10)) == RationalInterval.point(F(3, 4))

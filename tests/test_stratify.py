@@ -95,10 +95,39 @@ def test_affine_linear_families():
 
 
 def test_affine_rejects_wrong_endpoint_claim():
-    with pytest.raises(EndpointValidationError):
-        analyze_affine_family(_family("1 - x", 0, 1, "1/2", "0"))
-    with pytest.raises(EndpointValidationError):
-        analyze_affine_family(_family("1 - x", 0, 1, "0", "1"))
+    # the limit test is exact, so a claim off by 10^-40 fails like one off
+    # by 1/2
+    wrong = [
+        ("1 - x", 0, 1, "1/2", "0", "does not tend to 1/2 at x = 0"),
+        ("1 - x", 0, 1, "0", "1", "does not tend to 0 at x = 0"),
+        ("exp(-x)", 0, 1, "1", "1/e + 1/10^6", "at x = 1"),
+        ("exp(-x)", 0, 1, "1", "1/e + 1/10^40", "at x = 1"),
+        (APP_F_TEXT, 0, 1, "1/12 + 1/10^6", END_B, "250003/3000000 at x = 0"),
+        ("1/x", 0, 1, "1", "1", "pole at x = 0"),
+    ]
+    for f_text, a, b, end_a, end_b, message in wrong:
+        with pytest.raises(EndpointValidationError, match=message):
+            analyze_affine_family(_family(f_text, a, b, end_a, end_b))
+
+
+def test_affine_accepts_removable_singularities_against_sympy():
+    # claimed limits at both ends, checked against sympy.limit, and
+    # accepted by the exact l'Hopital test at the singular end x = 0
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    cases = [
+        ("(1 - exp(-x))/x", 1, "1", "1 - 1/e"),
+        ("(exp(-x) - 1 + x)/x^2", 1, "1/2", "1/e"),
+        (APP_F_TEXT, 1, END_A, END_B),
+        (APP_F_TEXT, 2, END_A, "1/4 - e^2/(e^2 - 1)^2"),
+    ]
+    for f_text, b, end_a, end_b in cases:
+        f = sympy.sympify(f_text.replace("^", "**"), locals={"x": x})
+        for at, text, side in ((0, end_a, "+"), (b, end_b, "-")):
+            claim = sympy.sympify(text.replace("^", "**"), locals={"e": sympy.E})
+            assert sympy.simplify(sympy.limit(f, x, at, side) - claim) == 0
+        rep = analyze_affine_family(_family(f_text, 0, b, end_a, end_b))
+        assert rep.monotone == "decreasing"
 
 
 def test_affine_rejects_non_monotone():

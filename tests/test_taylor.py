@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from expocert.arith import enclose_exp_neg
+from expocert.arith import RationalInterval, enclose_exp_neg
 from expocert.errors import PreconditionError
 from expocert.poly import Polynomial, count_roots_open
 from expocert.taylor import gap_enclosure, maclaurin, odd_root, select_order
@@ -68,6 +68,27 @@ def test_gap_enclosure_magnitude():
         box = gap_enclosure(n, x, F(1, 10**9))
         bound = x ** (n + 1) / factorial(n + 1)
         assert max(abs(box.lo), abs(box.hi)) <= bound
+
+
+def test_gap_enclosure_matches_forced_orders():
+    # one walk of the partial sums gives what forcing each order m in
+    # turn from (n + 1)//2 + 1 gave
+    def reference(n, x, eps):
+        tn = maclaurin(n).poly.eval(x)
+        m = (n + 1) // 2 + 1
+        while True:
+            box = enclose_exp_neg(x, eps, m_force=m)
+            out = RationalInterval(tn - box.hi, tn - box.lo)
+            if out.width < eps and out.definite_sign() != 0:
+                return out
+            m += 1
+
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(1, 20)
+        x = F(rng.randint(1, 300), rng.randint(50, 150))
+        eps = F(1, 10 ** rng.randint(3, 40))
+        assert gap_enclosure(n, x, eps) == reference(n, x, eps)
 
 
 def test_bracket_interleaving_on_unit_interval():
