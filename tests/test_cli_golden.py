@@ -70,6 +70,11 @@ COMMANDS = [
     ["taylor", "--order", "9", "--scale", "2"],
     ["grid", GRID, "--x", "0,1", "--a", "-5,5", "--steps", "11"],
     ["grid", GRID.replace("<=", "<"), "--x", "0,1", "--a", "-1,1", "--steps", "3"],
+    ["grid", GRID, "--x", "0,1", "--a", "-5,5", "--steps", "11", "--json"],
+    [
+        "grid", "exp(a*x) <= 1 + a*x + a^2*x^2", "--x", "0.000001,0.000002",
+        "--a", "0.000001,0.000002", "--steps", "2", "--eps", "1/10000000000",
+    ],
     ["prove", "x + > 0", "--on", "0,1"],
     ["prove", G, "--on", "1,0"],
 ]
