@@ -15,9 +15,10 @@ grid point's two sides, a constant in e (ConstExpr). Distinct e^s are
 linearly independent over Q, so such a sum is zero only when it has no
 terms. `lau_enclosure` encloses every sum through powers of one
 tau = e^(1/D) with 1/D <= 1, so a large |s| needs no high Maclaurin
-order; `exp_sum_sign` reads the sign of a one-signed sum off its
-coefficients and otherwise tightens the enclosure until it clears zero,
-and `quotient_enclosure` divides two.
+order, and computes on integer mantissas rounded outward; `exp_sum_sign`
+reads the sign of a one-signed sum off its coefficients and otherwise
+tightens the enclosure until it clears zero, down to a width floor, and
+`quotient_enclosure` divides two.
 """
 
 from __future__ import annotations
@@ -116,18 +117,12 @@ class RationalInterval:
     def __truediv__(self, other: "RationalInterval") -> "RationalInterval":
         return self * other.reciprocal()
 
-    def outward_round(self, bits: int) -> "RationalInterval":
-        """Widen to endpoints with denominator 2**bits.
-
-        Caps digit growth in long interval products at the cost of at most
-        2**(1-bits) of extra width.
-        """
-        scale = 1 << bits
-        lo_n = self.lo.numerator * scale
-        lo = Fraction(lo_n // self.lo.denominator, scale)
-        hi_n = self.hi.numerator * scale
-        hi = Fraction(-((-hi_n) // self.hi.denominator), scale)
-        return RationalInterval(lo, hi)
+    def mantissas(self, bits: int) -> tuple[int, int]:
+        """floor(lo * 2**bits) and ceil(hi * 2**bits): the integer mantissas
+        of the narrowest interval over 2**-bits that contains this one."""
+        lo_n = self.lo.numerator << bits
+        hi_n = self.hi.numerator << bits
+        return lo_n // self.lo.denominator, -((-hi_n) // self.hi.denominator)
 
     def __repr__(self) -> str:
         return f"RationalInterval({self.lo}, {self.hi})"
@@ -207,7 +202,7 @@ ExpSum = dict
 
 _ONE: ExpSum = {Fraction(0): Fraction(1)}
 
-# exp_sum_sign tries widths 2^-16, 2^-32, ... down to 2^-SIGN_BITS_CAP
+# exp_sum_sign tries widths 2^-16, 2^-32, ... down to 2^-SIGN_BITS_CAP by default
 SIGN_BITS_CAP = 2048
 
 
@@ -264,20 +259,24 @@ def _common_denominator(rationals: Iterable[Fraction]) -> int:
     return lcm(1, *(r.denominator for r in rationals))
 
 
-def _interval_pow(base: RationalInterval, k: int, bits: int) -> RationalInterval:
-    """base**k for a positive base interval, square-and-multiply with
-    outward rounding after each product to keep digits bounded."""
+def _mantissa_pow(lo: int, hi: int, k: int, bits: int) -> tuple[int, int]:
+    """[lo, hi] / 2**bits raised to an integer k, for 0 < lo <= hi, as
+    mantissas over 2**bits. A negative k starts from the reciprocal. Then
+    square-and-multiply shifts each product back to 2**-bits, floor for lo
+    and ceiling for hi, so digits stay bounded and the result encloses
+    every power."""
+    acc_lo = acc_hi = one = 1 << bits
     if k < 0:
-        return _interval_pow(base.reciprocal().outward_round(bits), -k, bits)
-    acc = RationalInterval.point(1)
-    sq = base
+        lo, hi, k = one * one // hi, -(-one * one // lo), -k
     while k:
         if k & 1:
-            acc = (acc * sq).outward_round(bits)
+            acc_lo = (acc_lo * lo) >> bits
+            acc_hi = -((-acc_hi * hi) >> bits)
         k >>= 1
         if k:
-            sq = (sq * sq).outward_round(bits)
-    return acc
+            lo = (lo * lo) >> bits
+            hi = -((-hi * hi) >> bits)
+    return acc_lo, acc_hi
 
 
 def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
@@ -286,7 +285,9 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
     With D the common denominator of the exponents, every e^s is an
     integer power of tau = e^(1/D), so one enclosure of tau serves all
     terms; it and the working precision tighten together until the sum
-    is narrow enough.
+    is narrow enough. Each round runs on integer mantissas over 2**bits:
+    tau, its powers and each term c * tau^k are rounded outward (floor
+    for the lower end, ceiling for the upper), then summed as ints.
     """
     eps = _rat(eps)
     if eps <= 0:
@@ -294,7 +295,7 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
     if set(a) <= {0}:  # no e^s with s != 0: the value is exact
         return RationalInterval.point(a.get(0, 0))
     denom = _common_denominator(a)
-    powers = [(int(s * denom), c) for s, c in sorted(a.items())]
+    powers = [(int(s * denom), c.numerator, c.denominator) for s, c in a.items()]
     # seed the schedule from the target: the first tau needs roughly the
     # requested precision already, and the working precision must exceed
     # -log2(eps) or outward rounding alone would defeat the tightening
@@ -302,26 +303,32 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
     bits = 64 + extra
     tau_eps = eps / (1 << 16)
     for _ in range(60):
-        tau = exp_enclosure(Fraction(1, denom), tau_eps)
-        acc = RationalInterval.point(0)
-        for k, c in powers:
-            acc = acc + _interval_pow(tau, k, bits).scale(c)
-        if acc.width < eps:
-            return acc
+        lo, hi = exp_enclosure(Fraction(1, denom), tau_eps).mantissas(bits)
+        lo_sum = hi_sum = 0
+        for k, n, d in powers:
+            p_lo, p_hi = _mantissa_pow(lo, hi, k, bits)
+            if n < 0:
+                p_lo, p_hi = p_hi, p_lo
+            lo_sum += p_lo * n // d
+            hi_sum -= -p_hi * n // d
+        if (hi_sum - lo_sum) * eps.denominator < eps.numerator << bits:
+            one = 1 << bits
+            return RationalInterval(Fraction(lo_sum, one), Fraction(hi_sum, one))
         tau_eps /= 1 << 12
         bits += 48
     raise BudgetExceededError("exponential sum enclosure did not converge")
 
 
-def exp_sum_sign(a: ExpSum) -> int:
+def exp_sum_sign(a: ExpSum, eps=Fraction(1, 1 << SIGN_BITS_CAP)) -> int:
     """Exact sign of sum c * e^s: 0 for {} and only for {}.
 
     Every e^s is positive, so coefficients of one sign give the sign
     outright, however small the value. Otherwise distinct e^s are linearly
     independent over Q (Lindemann-Weierstrass), so a nonempty sum is
-    nonzero and a narrow enough lau_enclosure clears zero. The width is
-    squared until it does; a mixed-sign value smaller than
-    2^-SIGN_BITS_CAP raises BudgetExceededError.
+    nonzero and a narrow enough lau_enclosure clears zero. The width
+    starts at 2^-16 and is squared while it stays above eps, then eps is
+    tried; a mixed-sign value no width down to eps signs raises
+    BudgetExceededError.
     """
     if not a:
         return 0
@@ -329,14 +336,19 @@ def exp_sum_sign(a: ExpSum) -> int:
         return 1
     if all(c < 0 for c in a.values()):
         return -1
+    eps = _rat(eps)
     bits = 16
-    while bits <= SIGN_BITS_CAP:
-        sgn = lau_enclosure(a, Fraction(1, 1 << bits)).definite_sign()
+    while True:
+        width = max(Fraction(1, 1 << bits), eps)
+        sgn = lau_enclosure(a, width).definite_sign()
         if sgn:
             return sgn
+        if width == eps:
+            break
         bits *= 2
+    shown = f"2^-{bits}" if eps == Fraction(1, 1 << bits) else str(eps)
     raise BudgetExceededError(
-        f"sign of a nonzero exponential sum not resolved at width 2^-{SIGN_BITS_CAP}"
+        f"sign of a nonzero exponential sum not resolved at width {shown}"
     )
 
 

@@ -6,7 +6,8 @@ analyzer, `grid` the two-parameter classifier, `eval` and `taylor` the
 small utilities. The exit code is the verdict:
 
     0   proven / verified / holds everywhere
-    1   disproven, with a certified counterexample or mismatch
+    1   disproven, with a certified counterexample, mismatch or refuted
+        endpoint limit
     2   undecided within the configured budgets
     3   input error (syntax, unsupported form, bad flags)
 
@@ -457,7 +458,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", required=True, metavar="a,b")
     p.add_argument("--a", required=True, metavar="c,d")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--eps", default="1/" + "1" + "0" * 30)
+    p.add_argument("--eps", default="1/" + "1" + "0" * 30,
+                   help="narrowest enclosure width tried to sign a point")
     p.set_defaults(func=_cmd_grid)
 
     return parser
@@ -477,10 +479,12 @@ def run(argv=None) -> int:
     except (LoweringError, DivisionByPossiblyZeroError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except EndpointValidationError as exc:
+        print(f"disproven: {exc}")
+        return 1
     except (
         DenominatorSignUnknownError,
         MonotonicityUnprovenError,
-        EndpointValidationError,
         BudgetExceededError,
         DegenerateInputError,
     ) as exc:

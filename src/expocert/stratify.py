@@ -21,8 +21,9 @@ prover and the interval arithmetic can certify):
 * `grid_check` classifies a two-parameter inequality on a rational grid.
   At each point both sides collapse to exact finite sums of rational
   multiples of e^s, so ties are recognized symbolically (no amount of
-  interval tightening could) and strict signs by enclosures of a single
-  e^(1/D).
+  interval tightening could). A strict sign is read off coefficients of
+  one sign, or else off enclosures of a single e^(1/D) that narrow
+  only until they clear zero, down to the grid's eps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import ConstExpr, RationalInterval, _sum_add, _sum_mul, exp_sum_sign, lau_enclosure
+from .arith import ConstExpr, RationalInterval, _sum_add, _sum_mul, exp_sum_sign
 from .errors import (
     BudgetExceededError,
     EndpointValidationError,
@@ -138,8 +139,10 @@ def _check_endpoint(f: ExpRational, at: Fraction, claimed: ConstExpr) -> None:
 
 
 def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> FamilyReport:
-    """Full pipeline for phi_p = f - p: monotonicity proof, the exact
-    endpoint limit test, and the equioscillation constants.
+    """Full pipeline for phi_p = f - p: the exact endpoint limit test,
+    the monotonicity proof, and the equioscillation constants. The cheap
+    limit test runs first, so a wrong claim is refuted before any proof
+    search.
 
     Stratification in p itself is trivial (d phi_p / d p = -1), so the
     real work is strict monotonicity of f in x: the quotient rule gives
@@ -153,6 +156,9 @@ def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> Fami
     if not 0 <= a < b:
         raise PreconditionError("need rational endpoints 0 <= a < b")
 
+    _check_endpoint(fam.f, a, fam.endpoint_a_value)
+    _check_endpoint(fam.f, b, fam.endpoint_b_value)
+
     deriv = differentiate_quotient(fam.f)
     try:
         num_sign, num_cert = prove_sign(deriv.numerator, (a, b), max_l, PER_TERM)
@@ -163,9 +169,6 @@ def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> Fami
         ) from exc
     slope = num_sign * den_sign
     monotone = INCREASING if slope > 0 else DECREASING
-
-    _check_endpoint(fam.f, a, fam.endpoint_a_value)
-    _check_endpoint(fam.f, b, fam.endpoint_b_value)
 
     if monotone == DECREASING:
         a_expr, b_expr = fam.endpoint_b_value, fam.endpoint_a_value
@@ -536,11 +539,15 @@ def grid_check(
 
     `steps` counts grid points per axis (one int for both, or a pair
     (nx, na)); endpoints inclusive. Each point is first reduced to an
-    exact sum of rational multiples of powers of e: cancellation to zero
-    is detected symbolically, so equality rows of non-strict inequalities
-    classify as holds no matter how close the sides are. Otherwise the
-    difference is enclosed to width < eps; an enclosure that still
-    straddles zero leaves the point undecided (reported, never fatal).
+    exact sum of rational multiples of powers of e, and the point takes
+    the sign of the difference (exp_sum_sign with eps as its floor).
+    Cancellation to zero is detected symbolically, so equality rows of
+    non-strict inequalities classify as holds no matter how close the
+    sides are. A difference whose coefficients share one sign is signed
+    outright; any other is enclosed at widths 2^-16, 2^-32, ... while
+    they stay above eps, then at eps, and stops at the first enclosure
+    that clears zero. A difference still unsigned at eps leaves the point
+    undecided (reported, never fatal).
     """
     if isinstance(steps, tuple):
         nx, na = steps
@@ -563,18 +570,13 @@ def grid_check(
             except LoweringError:
                 undecided.append((xv, av))
                 continue
-            diff = _sum_add(left, right, -1)
-            if not diff:
-                (fails if strict else holds).append((xv, av))
-                continue
             try:
-                box = lau_enclosure(diff, eps)
+                sgn = exp_sum_sign(_sum_add(left, right, -1), eps)
             except BudgetExceededError:
                 undecided.append((xv, av))
                 continue
-            sgn = box.definite_sign()
             if sgn == 0:
-                undecided.append((xv, av))
+                (fails if strict else holds).append((xv, av))
             elif (sgn < 0) == want_less:
                 holds.append((xv, av))
             else:

@@ -10,7 +10,7 @@ from expocert.arith import (
     ConstExpr,
     RationalInterval,
     _common_denominator,
-    _interval_pow,
+    _mantissa_pow,
     _sum_add,
     _sum_mul,
     _sum_reciprocal,
@@ -59,13 +59,26 @@ def test_interval_arithmetic():
 
 
 def test_interval_power_and_sign():
-    # powers of a positive interval, exact while the rounding grid holds them
-    base = RationalInterval(F(1, 2), F(3))
-    assert _interval_pow(base, 2, 16) == RationalInterval(F(1, 4), F(9))
-    assert _interval_pow(base, 3, 16) == RationalInterval(F(1, 8), F(27))
-    assert _interval_pow(base, 0, 16) == RationalInterval.point(1)
-    inverse = RationalInterval(F(1, 3), F(2)).outward_round(16)
-    assert _interval_pow(base, -1, 16) == inverse
+    # powers of [1/2, 3] on mantissas over 2^16: exact where the grid holds
+    # them, and 1/3 = 1/hi rounded down
+    bits, one = 16, 2**16
+    lo, hi = RationalInterval(F(1, 2), F(3)).mantissas(bits)
+    assert (lo, hi) == (one // 2, 3 * one)
+    assert _mantissa_pow(lo, hi, 0, bits) == (one, one)
+    for k in (2, 3, -1):
+        p_lo, p_hi = _mantissa_pow(lo, hi, k, bits)
+        want_lo, want_hi = sorted((F(1, 2) ** k, F(3) ** k))
+        assert F(p_lo, one) <= want_lo < F(p_lo + 1, one)
+        assert F(p_hi - 1, one) < want_hi <= F(p_hi, one)
+    assert _mantissa_pow(lo, hi, -1, bits) == (one // 3, 2 * one)
+    # a long chain of rounded products still encloses the exact power
+    rng = random.Random(5)
+    for _ in range(100):
+        base = RationalInterval(F(rng.randint(1, 99), 37), F(rng.randint(100, 199), 37))
+        k = rng.randint(-9, 9)
+        p_lo, p_hi = _mantissa_pow(*base.mantissas(8), k, 8)
+        exact = sorted((base.lo**k, base.hi**k))
+        assert F(p_lo, 2**8) <= exact[0] and exact[1] <= F(p_hi, 2**8)
     spans = RationalInterval(F(-2), F(3))
     assert spans.definite_sign() == 0
     assert RationalInterval(F(1, 9), F(2)).definite_sign() == 1
@@ -75,13 +88,14 @@ def test_interval_power_and_sign():
 
 
 def test_outward_round():
+    # mantissas are the floor and the ceiling of the ends over 2^-16
     rng = random.Random(3)
     for _ in range(100):
         lo = F(rng.randint(-999, 999), rng.randint(1, 997))
         iv = RationalInterval(lo, lo + F(rng.randint(0, 99), 7))
-        r = iv.outward_round(16)
-        assert r.lo <= iv.lo and iv.hi <= r.hi
-        assert r.lo.denominator <= 2**16 and r.hi.denominator <= 2**16
+        m_lo, m_hi = iv.mantissas(16)
+        assert F(m_lo, 2**16) <= iv.lo < F(m_lo + 1, 2**16)
+        assert F(m_hi - 1, 2**16) < iv.hi <= F(m_hi, 2**16)
 
 
 def test_enclose_exp_neg():
@@ -360,5 +374,47 @@ def test_exp_sum_sign_against_sympy():
         b = as_sum(mixed)
         want = sympy.sign(value(b).evalf(60)) if b else 0
         assert exp_sum_sign(b) == want
+
+    check()
+
+
+def test_lau_enclosure_against_sympy():
+    # mixed-sign sums over exponents with denominators 1..12 and |s| <= 20:
+    # the enclosure holds the value (computed far past eps), is narrower
+    # than eps, and has endpoints over a power of 2
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    exponent = st.integers(1, 12).flatmap(
+        lambda q: st.integers(-20 * q, 20 * q).map(lambda n: F(n, q))
+    )
+    coeff = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+
+    def is_power_of_2(n):
+        return n & (n - 1) == 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        terms=st.lists(st.tuples(exponent, coeff), min_size=1, max_size=5),
+        eps=st.sampled_from([F(1, 2**16), F(1, 10**30), F(1, 10**200)]),
+    )
+    def check(terms, eps):
+        a = _sum_add({}, dict(terms), 1)
+        box = lau_enclosure(a, eps)
+        value = sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.exp(sympy.Rational(s.numerator, s.denominator))
+            for s, c in a.items()
+        )
+        digits = 80 + len(str(eps.denominator))
+        value = sympy.N(value, digits)
+        tol = sympy.Float(10, digits) ** (10 - digits) * (1 + abs(value))
+        assert sympy.Rational(box.lo.numerator, box.lo.denominator) - tol <= value
+        assert value <= sympy.Rational(box.hi.numerator, box.hi.denominator) + tol
+        assert box.width < eps
+        if set(a) - {0}:
+            assert is_power_of_2(box.lo.denominator)
+            assert is_power_of_2(box.hi.denominator)
 
     check()

@@ -241,9 +241,9 @@ def test_family_report(tmp_path, capsys):
 
 def test_family_errors(capsys):
     base = ["family", "1 - x", "--on", "0,1"]
-    # wrong claimed endpoint: analysis refuses, verdict undecided
-    assert cli.run(base + ["--endpoint-a", "1/2", "--endpoint-b", "0"]) == 2
-    assert "undecided" in capsys.readouterr().err
+    # wrong claimed endpoint: the exact limit test refutes it
+    assert cli.run(base + ["--endpoint-a", "1/2", "--endpoint-b", "0"]) == 1
+    assert "disproven: f does not tend to 1/2 at x = 0" in capsys.readouterr().out
     # fractional exponential rate: values would need a stretch, refused
     assert cli.run([
         "family", "exp(-x/2)", "--on", "0,1",

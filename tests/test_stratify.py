@@ -4,13 +4,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from expocert.arith import ConstExpr
+from expocert.arith import ConstExpr, _sum_add, lau_enclosure
 from expocert.errors import (
+    BudgetExceededError,
     EndpointValidationError,
+    LoweringError,
     MonotonicityUnprovenError,
     PreconditionError,
 )
-from expocert.expr import parse_expression, parse_inequality, to_const, to_exp_rational
+from expocert.expr import (
+    exp_sum_at,
+    parse_expression,
+    parse_inequality,
+    to_const,
+    to_exp_rational,
+)
 from expocert.mep import ExpRational, Mep, eval_enclosure
 from expocert.prover import verify_certificate
 from expocert.stratify import (
@@ -104,6 +112,8 @@ def test_affine_rejects_wrong_endpoint_claim():
         ("exp(-x)", 0, 1, "1", "1/e + 1/10^40", "at x = 1"),
         (APP_F_TEXT, 0, 1, "1/12 + 1/10^6", END_B, "250003/3000000 at x = 0"),
         ("1/x", 0, 1, "1", "1", "pole at x = 0"),
+        # not monotone, but the exact limit test runs first and refutes
+        ("x - x^2", 0, 1, "1", "0", "does not tend to 1 at x = 0"),
     ]
     for f_text, a, b, end_a, end_b, message in wrong:
         with pytest.raises(EndpointValidationError, match=message):
@@ -318,6 +328,74 @@ def test_grid_unloweable_points_are_undecided():
     rep = grid_check(ineq, (F(0), F(1)), (F(1), F(2)), 2)
     assert set(rep.holds_at) == {(F(0), F(1)), (F(0), F(2))}
     assert len(rep.undecided_at) == 2
+
+
+def test_grid_signs_match_sympy_and_full_enclosures():
+    # on random small grids every decided point has sympy's sign, and no
+    # point that one enclosure to width eps decides is left undecided
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    inequalities = [
+        INEQ_13,
+        INEQ_15,
+        "exp(a*x) <= 1 + a*x + a^2*x^2",
+        "exp(-a*x) >= 1 - a*x",
+        "x*exp(a) + a*exp(x/3) < 2",
+    ]
+    bound = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+
+    def sign_of(diff):
+        value = sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.exp(sympy.Rational(s.numerator, s.denominator))
+            for s, c in diff.items()
+        )
+        return int(sympy.sign(sympy.N(value, 120)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        text=st.sampled_from(inequalities),
+        xs=st.tuples(bound, bound).filter(lambda p: p[0] != p[1]).map(sorted),
+        as_=st.tuples(bound, bound).filter(lambda p: p[0] != p[1]).map(sorted),
+        steps=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+        scale=st.sampled_from([1, F(1, 10**6)]),
+        eps=st.sampled_from([F(1, 10**6), F(1, 10**10), F(1, 10**30)]),
+    )
+    def check(text, xs, as_, steps, scale, eps):
+        # scale 10^-6 brings both sides within eps of each other
+        ineq = parse_inequality(text)
+        xs, as_ = [v * scale for v in xs], [v * scale for v in as_]
+        rep = grid_check(ineq, xs, as_, steps, eps)
+        verdicts = {p: "holds" for p in rep.holds_at}
+        verdicts.update({p: "fails" for p in rep.fails_at})
+        assert rep.total == steps[0] * steps[1] == len(verdicts) + len(rep.undecided_at)
+        want_less = ineq.cmp in ("<", "<=")
+        for xv, av in verdicts.keys() | set(rep.undecided_at):
+            point = {"x": xv, "a": av}
+            try:
+                diff = _sum_add(
+                    exp_sum_at(ineq.left, point), exp_sum_at(ineq.right, point), -1
+                )
+            except LoweringError:
+                assert (xv, av) in rep.undecided_at
+                continue
+            sgn = sign_of(diff)
+            if sgn == 0:
+                want = "fails" if ineq.strict else "holds"
+            else:
+                want = "holds" if (sgn < 0) == want_less else "fails"
+            if (xv, av) in verdicts:
+                assert verdicts[(xv, av)] == want
+                continue
+            try:
+                decided = not diff or lau_enclosure(diff, eps).definite_sign()
+            except BudgetExceededError:
+                decided = False
+            assert not decided
+
+    check()
 
 
 def test_grid_preconditions():
