@@ -309,7 +309,12 @@ def _cmd_family(ns) -> int:
     end_a = to_const(parse_expression(ns.endpoint_a))
     end_b = to_const(parse_expression(ns.endpoint_b))
     fam = AffineFamily(f, (a, b), end_a, end_b)
-    report = analyze_affine_family(fam, max_l=ns.max_l)
+    try:
+        report = analyze_affine_family(fam, max_l=ns.max_l)
+    except EndpointValidationError as exc:  # the exact limit test refuted a claim
+        print(json.dumps({"result": "disproven", "reason": str(exc)}) if ns.json
+              else f"disproven: {exc}")
+        return 1
     if ns.report:
         with open(ns.report, "w") as fh:
             json.dump(report.to_json_dict(), fh, indent=2)
@@ -479,9 +484,6 @@ def run(argv=None) -> int:
     except (LoweringError, DivisionByPossiblyZeroError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except EndpointValidationError as exc:
-        print(f"disproven: {exc}")
-        return 1
     except (
         DenominatorSignUnknownError,
         MonotonicityUnprovenError,

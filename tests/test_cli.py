@@ -244,6 +244,10 @@ def test_family_errors(capsys):
     # wrong claimed endpoint: the exact limit test refutes it
     assert cli.run(base + ["--endpoint-a", "1/2", "--endpoint-b", "0"]) == 1
     assert "disproven: f does not tend to 1/2 at x = 0" in capsys.readouterr().out
+    assert cli.run(base + ["--endpoint-a", "1/2", "--endpoint-b", "0", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "disproven", "reason": "f does not tend to 1/2 at x = 0",
+    }
     # fractional exponential rate: values would need a stretch, refused
     assert cli.run([
         "family", "exp(-x/2)", "--on", "0,1",
