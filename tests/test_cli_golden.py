@@ -30,6 +30,8 @@ COMMANDS = [
     ["prove", G, "--on", "0,1", "--minimize"],
     ["prove", G, "--on", "0,1", "--grouped"],
     ["prove", G, "--on", "0,1", "--json"],
+    ["prove", G, "--on", "0,1", "--minimize", "--json"],
+    ["prove", G, "--on", "0,1", "--grouped", "--json"],
     ["prove", "1/(1+exp(-x)) > 1/3", "--on", "0,1"],
     ["prove", "exp(-x/2) > 1 - x/2", "--on", "0,1"],
     ["prove", "exp(-x) < 1", "--on", "0,1"],
