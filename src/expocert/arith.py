@@ -85,27 +85,14 @@ class RationalInterval:
             return -1
         return 0
 
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __mul__(self, other):
-        if isinstance(other, RationalInterval):
-            products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return RationalInterval(min(products), max(products))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "RationalInterval":
-        c = _rat(c)
-        if c >= 0:
-            return RationalInterval(self.lo * c, self.hi * c)
-        return RationalInterval(self.hi * c, self.lo * c)
+    def __mul__(self, other: "RationalInterval") -> "RationalInterval":
+        products = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return RationalInterval(min(products), max(products))
 
     def reciprocal(self) -> "RationalInterval":
         if self.definite_sign() == 0:

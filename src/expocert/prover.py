@@ -12,11 +12,14 @@ Certificate.
 
 The search over Taylor orders is deliberately dumb: one shared depth l
 for every bounded unit, deepened until the Sturm test passes or the depth
-budget runs out. Most depths fail, so each P first meets an exact sample
-test (`sample_refutes`): a nonpositive value at one of a few fixed
-interior rationals, or a negative endpoint value, rejects the depth
-without a Sturm chain. Such a P would fail the Sturm test too, so the
-first passing depth and its certificate do not change.
+budget runs out. Going from depth l - 1 to l adds only the next two Taylor
+terms of each unit, so each depth extends the last P rather than
+rebuilding it; the verifier still rebuilds P from scratch. Most depths
+fail, so each P first meets an exact sample test (`sample_refutes`): a
+nonpositive value at one of a few fixed interior rationals, or a negative
+endpoint value, rejects the depth without a Sturm chain. Such a P would
+fail the Sturm test too, so the first passing depth and its certificate
+do not change.
 The root count that an exhausted search reports is taken once, from its
 last P. A greedy per-unit descent (`minimize_assignment`) can then shrink
 the orders, which tends to shrink deg P as well.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceededError,
@@ -44,7 +47,7 @@ from .poly import (
     is_positive_on,
     sample_refutes,
 )
-from .taylor import maclaurin, select_order
+from .taylor import maclaurin, maclaurin_coefficient, select_order
 from .arith import RationalInterval
 
 DEFAULT_MAX_L = 20
@@ -209,7 +212,9 @@ def lower_bound_poly(
             raise PreconditionError(
                 f"theta {entry.theta} has the wrong parity for unit {unit.index}"
             )
-    return _bound_poly(units, passthrough, assignment)
+    return _move_bound(
+        passthrough, [(u, -1, e.theta) for u, e in zip(units, assignment)]
+    )
 
 
 def upper_bound_poly(
@@ -246,37 +251,48 @@ def assignment_for_orders(
     return tuple(out)
 
 
-def _bound_poly(
-    units: Sequence[BoundUnit],
-    passthrough: Polynomial,
-    assignment: Sequence[AssignmentEntry],
+def _move_bound(
+    total: Polynomial, moves: Iterable[tuple[BoundUnit, int, int]]
 ) -> Polynomial:
-    """P = passthrough + sum of unit.poly * T_theta(q x) over the units."""
-    total = passthrough
-    for entry, unit in zip(assignment, units):
-        total = total + unit.poly * maclaurin(entry.theta, unit.q).poly
-    return total
+    """Move P = passthrough + sum of unit.poly * T_theta(q x) to new orders.
+
+    `total` is P at the old orders; each move (unit, old, new) adds
+    unit.poly * (-q)^k/k! * x^k for k in (old, new], or subtracts those
+    terms for k in (new, old] when the order drops. An old order of -1
+    means that the unit contributes nothing yet, so moving every unit from
+    -1 builds P from the passthrough. All arithmetic is exact, so the
+    result equals a from-scratch build coefficient for coefficient.
+    """
+    out = list(total.coeffs)
+    for unit, old, new in moves:
+        sign = 1 if new > old else -1
+        lo, hi = min(old, new), max(old, new)
+        out += [Fraction(0)] * (len(unit.poly.coeffs) + hi - len(out))
+        for k in range(lo + 1, hi + 1):
+            c = sign * maclaurin_coefficient(k, unit.q)
+            for i, alpha in enumerate(unit.poly.coeffs):
+                if alpha:
+                    out[i + k] += alpha * c
+    return Polynomial(out)
 
 
 def _attempt(
     f: Mep,
     interval: tuple[Fraction, Fraction],
     mode: str,
-    units: Sequence[BoundUnit],
-    passthrough: Polynomial,
     assignment: tuple[AssignmentEntry, ...],
-) -> tuple[Optional[Certificate], Polynomial]:
-    """Build P for one assignment and check it: samples, then the Sturm
-    chain of P's squarefree part (SturmChain takes P as it is).
+    total: Polynomial,
+) -> Optional[Certificate]:
+    """Check the P of one assignment: samples, then the Sturm chain of P's
+    squarefree part (SturmChain takes P as it is).
 
-    Returns (certificate or None, P); a failing P feeds the diagnostics of
-    an exhausted search. A P that degenerates to the zero polynomial
-    counts as a plain failure.
+    The caller builds P, extending the P it checked last, and keeps a
+    failing P for the diagnostics of an exhausted search. A P that
+    degenerates to the zero polynomial counts as a plain failure.
     """
     a, b = interval
-    total = _bound_poly(units, passthrough, assignment)
     if total.is_zero or sample_refutes(total, a, b):
-        return None, total
+        return None
     chain = SturmChain(total)
     v_a = chain.variations_at(a)
     v_b = chain.variations_at(b)
@@ -285,21 +301,18 @@ def _attempt(
     mid = (a + b) / 2
     value = total.eval(mid)
     if roots != 0 or value <= 0:
-        return None, total
-    return (
-        Certificate(
-            input=f"{f.text()} > 0",
-            interval=interval,
-            mode=mode,
-            assignment=assignment,
-            poly=total,
-            v_a=v_a,
-            v_b=v_b,
-            endpoint_adjust=adjust,
-            witness_x=mid,
-            witness_value=value,
-        ),
-        total,
+        return None
+    return Certificate(
+        input=f"{f.text()} > 0",
+        interval=interval,
+        mode=mode,
+        assignment=assignment,
+        poly=total,
+        v_a=v_a,
+        v_b=v_b,
+        endpoint_adjust=adjust,
+        witness_x=mid,
+        witness_value=value,
     )
 
 
@@ -310,7 +323,8 @@ def prove_positive(
 
     Iterative deepening with one shared l across all units; the first
     assignment whose P passes the Sturm test wins, which makes the result
-    a deterministic function of the input. Exhaustion is a statement
+    a deterministic function of the input. Each depth extends the last P
+    by the next two Taylor terms of every unit. Exhaustion is a statement
     about this search only, never a disproof.
     """
     a, b = _check_interval(interval)
@@ -321,10 +335,14 @@ def prove_positive(
     units, passthrough = bounding_units(f, interval, mode)
 
     last: Optional[Polynomial] = None
+    total, thetas = passthrough, [-1] * len(units)
     depths = [1] if not units else range(1, max_l + 1)
     for l in depths:
         assignment = uniform_assignment(units, l)
-        cert, total = _attempt(f, (a, b), mode, units, passthrough, assignment)
+        deeper = [e.theta for e in assignment]
+        total = _move_bound(total, zip(units, thetas, deeper))
+        thetas = deeper
+        cert = _attempt(f, (a, b), mode, assignment, total)
         if cert is not None:
             return cert
         if not total.is_zero:
@@ -366,14 +384,18 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
 
     Sweeps the units in index order, decrementing each unit's l as long
     as the proof still goes through, and repeats until a full sweep makes
-    no change. Deterministic, locally minimal, not guaranteed globally
-    minimal.
+    no change. P is kept beside the orders: each trial drops the two top
+    Taylor terms of one unit from it. Deterministic, locally minimal, not
+    guaranteed globally minimal.
     """
     a, b = _check_interval(interval)
     units, passthrough = bounding_units(f, interval, seed.mode)
     entries = list(seed.assignment)
     if len(entries) != len(units):
         raise PreconditionError("seed assignment does not match the input")
+    total = _move_bound(
+        passthrough, [(u, -1, e.theta) for u, e in zip(units, entries)]
+    )
     best = seed
     changed = True
     while changed:
@@ -386,12 +408,12 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
                 )
                 candidate = entries.copy()
                 candidate[i] = trial
-                cert, _ = _attempt(
-                    f, (a, b), seed.mode, units, passthrough, tuple(candidate)
-                )
+                lower = _move_bound(total, [(unit, entries[i].theta, trial.theta)])
+                cert = _attempt(f, (a, b), seed.mode, tuple(candidate), lower)
                 if cert is None:
                     break
                 entries[i] = trial
+                total = lower
                 best = cert
                 changed = True
     return best

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import factorial
 
 from .arith import RationalInterval, _brackets
 from .errors import BudgetExceededError, PreconditionError
@@ -48,14 +49,14 @@ def maclaurin(n: int, q: int = 1) -> TaylorBound:
         raise PreconditionError("order must be nonnegative")
     if q < 1:
         raise PreconditionError("scale must be a positive integer")
-    coeffs = []
-    c = Fraction(1)
-    for k in range(n + 1):
-        if k:
-            c *= Fraction(-q, k)
-        coeffs.append(c)
+    coeffs = [maclaurin_coefficient(k, q) for k in range(n + 1)]
     side = "lower" if n % 2 == 1 else "upper"
     return TaylorBound(order=n, scale=q, poly=Polynomial(coeffs), side=side)
+
+
+def maclaurin_coefficient(k: int, q: int) -> Fraction:
+    """(-q)^k / k!, the coefficient of x^k in T_n(qx) for every n >= k."""
+    return Fraction((-q) ** k, factorial(k))
 
 
 def select_order(coeff_sign, l: int) -> int:

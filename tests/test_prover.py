@@ -17,6 +17,7 @@ from expocert.errors import (
     SearchExhaustedError,
 )
 from expocert.mep import ExpRational, Mep, eval_enclosure
+from expocert import prover
 from expocert.poly import Polynomial, count_roots_open, sample_refutes
 from expocert.prover import (
     GROUPED,
@@ -36,7 +37,7 @@ from expocert.prover import (
     verify_certificate_report,
 )
 from expocert.stratify import AffineFamily, analyze_affine_family
-from expocert.taylor import maclaurin
+from expocert.taylor import maclaurin, select_order
 
 G_TERMS = [(2, 0, 0), (-6, 0, 1), (-1, 3, 1), (6, 0, 2), (-1, 3, 2), (-2, 0, 3)]
 UNIT = (F(0), F(1))
@@ -320,6 +321,106 @@ def test_certificate_polynomial_matches_orders():
     for e, u in zip(cert.assignment, units):
         total = total + u.poly * maclaurin(e.theta, u.q).poly
     assert total == cert.poly
+
+
+def _reference_bound(units, passthrough, thetas):
+    """P from scratch: passthrough + sum of unit.poly * T_theta(q x); theta
+    -1 leaves a unit out."""
+    total = passthrough
+    for u, theta in zip(units, thetas):
+        if theta >= 0:
+            total = total + u.poly * maclaurin(theta, u.q).poly
+    return total
+
+
+def _reference_attempt(f, interval, mode, units, passthrough, assignment):
+    total = _reference_bound(units, passthrough, [e.theta for e in assignment])
+    return prover._attempt(f, interval, mode, assignment, total)
+
+
+def _reference_prove(f, interval, max_l, mode):
+    """The deepening loop with P rebuilt at every depth; None if exhausted."""
+    units, passthrough = bounding_units(f, interval, mode)
+    for l in [1] if not units else range(1, max_l + 1):
+        assignment = uniform_assignment(units, l)
+        cert = _reference_attempt(f, interval, mode, units, passthrough, assignment)
+        if cert is not None:
+            return cert
+    return None
+
+
+def _reference_minimize(f, interval, seed):
+    """The greedy descent with P rebuilt for every trial."""
+    units, passthrough = bounding_units(f, interval, seed.mode)
+    entries, best, changed = list(seed.assignment), seed, True
+    while changed:
+        changed = False
+        for i, unit in enumerate(units):
+            while entries[i].l > 1:
+                l = entries[i].l - 1
+                candidate = entries.copy()
+                candidate[i] = AssignmentEntry(unit.index, l, select_order(unit.sign, l))
+                cert = _reference_attempt(
+                    f, interval, seed.mode, units, passthrough, tuple(candidate)
+                )
+                if cert is None:
+                    break
+                entries, best, changed = candidate, cert, True
+    return best
+
+
+def test_incremental_bound_matches_from_scratch_build():
+    # random MEPs in both modes: P moved along random walks of orders (up
+    # and down by any step) equals P built from scratch, and the
+    # certificates of the search and of the descent equal those of loops
+    # that rebuild P for every assignment
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    term = st.tuples(
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+        st.integers(0, 2),
+        st.integers(0, 3),
+    )
+    proofs = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        c0=st.fractions(min_value=0, max_value=8, max_denominator=3),
+        raw=st.lists(term, min_size=1, max_size=5),
+        a=st.sampled_from([F(0), F(1, 3)]),
+        width=st.sampled_from([F(1, 2), F(1), F(2)]),
+        data=st.data(),
+    )
+    def check(c0, raw, a, width, data):
+        f = Mep([(c0, 0, 0), *raw])
+        interval = (a, a + width)
+        for mode in (PER_TERM, GROUPED):
+            units, passthrough = bounding_units(f, interval, mode)
+            thetas, total = [-1] * len(units), passthrough
+            for _ in range(4):
+                new = data.draw(st.lists(
+                    st.integers(-1, 14), min_size=len(units), max_size=len(units)
+                ))
+                total = prover._move_bound(total, zip(units, thetas, new))
+                thetas = new
+                assert total == _reference_bound(units, passthrough, thetas)
+            if f.is_zero:
+                continue
+            want = _reference_prove(f, interval, 6, mode)
+            try:
+                got = prove_positive(f, interval, max_l=6, mode=mode)
+            except SearchExhaustedError:
+                got = None
+            assert got == want
+            if got is not None:
+                proofs.append(mode)
+                assert minimize_assignment(f, interval, got) == _reference_minimize(
+                    f, interval, got
+                )
+
+    check()
+    assert proofs.count(PER_TERM) >= 10 and proofs.count(GROUPED) >= 10
 
 
 def test_prove_sign_directions_and_error_mappings():
