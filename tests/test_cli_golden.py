@@ -77,6 +77,10 @@ COMMANDS = [
         "grid", "exp(a*x) <= 1 + a*x + a^2*x^2", "--x", "0.000001,0.000002",
         "--a", "0.000001,0.000002", "--steps", "2", "--eps", "1/10000000000",
     ],
+    ["grid", "1/(1 + exp(a*x)) < 1", "--x", "0,1", "--a", "-1,1", "--steps", "3"],
+    ["grid", "exp(x)/(exp(a) - exp(x)) > 0", "--x", "0,1", "--a", "-1,1", "--steps", "3"],
+    ["grid", "x/(x - a) > 0", "--x", "0,1", "--a", "-1,1", "--steps", "3"],
+    ["grid", "(1 + x + a + exp(x))^40 > 0", "--x", "0,1", "--a", "-1,1", "--steps", "3"],
     ["prove", "x + > 0", "--on", "0,1"],
     ["prove", G, "--on", "1,0"],
 ]
