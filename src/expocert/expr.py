@@ -24,9 +24,11 @@ constant in e, an exact quotient of sums over integer powers of e that
 `arith` signs and encloses, `to_exp_rational` (variable x) produces the
 quotient of mixed exponential polynomials the prover works on, stretching
 x by the shared `mep` substitution when exponential rates are fractional,
-and `exp_sum_at` (variables x, a) collapses an expression at one rational
-grid point into an exact finite sum of rational multiples of e^s, built
-and enclosed by the one sum algebra in `arith`.
+and `lower_grid` (variables x, a) lowers an expression once per grid to a
+quotient of sparse sums over monomials x^i * a^j * exp(linear form), held
+on integers. `exp_sum_at` then evaluates that quotient at each rational
+grid point into two exact finite sums of rational multiples of e^s, which
+`arith` signs.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .arith import ConstExpr, ExpSum, _sum_add, _sum_mul, _sum_pow, _sum_reciprocal
+from .arith import ConstExpr, ExpSum, _sum_add, _sum_mul, _sum_pow
 from .errors import (
     LoweringError,
     NonlinearExpArgumentError,
@@ -471,9 +474,7 @@ def to_const(node: Node) -> ConstExpr:
         return ConstExpr.e() ** int(v)
     if node.op == "sign":
         # argument is exp/e-free, so it has an exact rational value
-        val = _exp_sum_rational(exp_sum_at(node.args[0], {}))
-        s = 0 if val == 0 else (1 if val > 0 else -1)
-        return ConstExpr.rational(s)
+        return ConstExpr.rational(to_const(node.args[0]).sign())
     if node.op == "neg":
         return -to_const(node.args[0])
     if node.op == "pow":
@@ -610,55 +611,233 @@ def to_exp_rational(node: Node) -> tuple[ExpRational, int]:
 
 
 # ---------------------------------------------------------------------------
-# pointwise lowering for the two-parameter grid
+# the two-parameter grid: one lowering per command, integers at each point
 #
-# At an exact rational point every exp collapses to e^s with rational s,
-# so any expression value is a finite sum {s: c} meaning sum c * e^s
-# (arith.ExpSum). Addition and multiplication stay exact; division is
-# exact only by a single-term sum (enough for the target inequalities).
+# lower_grid turns the tree, once, into a quotient num/den. Each side is a
+# sparse sum, or a product, power or sum of such sums that is kept
+# unexpanded: expanding (1 + x + exp(x))^40 costs far more than raising
+# its value at each point. A sum is a dict {(form, i, j, signs): c} for
+# the monomial c * x^i * a^j * prod sign_k^e_k * exp(form), where form =
+# (l0, lx, la, lxa) spans the exp arguments 1, x, a, x*a that
+# _linear_form admits and signs holds pairs (k, e) into a table of the
+# distinct sign(...) arguments, e = 1 or 2 (sign^3 = sign). Products by a
+# single monomial expand; products of two longer sums do not.
+#
+# At a rational point every exp(form) collapses to e^s with rational s,
+# so each side becomes an exact finite sum {s: c} (arith.ExpSum). Each
+# group of monomials sharing one form is stored on integers over one
+# denominator L, so its coefficient at x = px/qx, a = pa/qa is a single
+# integer sum over L * qx^I * qa^J.
+
+_NO_EXP = (Fraction(0),) * 4
+_UNIT = (_NO_EXP, 0, 0, ())
+_ONE_SUM = {_UNIT: Fraction(1)}
 
 
-def exp_sum_at(node: Node, point: dict[str, Fraction]) -> ExpSum:
-    if node.op == "rat":
-        return {Fraction(0): node.value} if node.value else {}
-    if node.op == "var":
-        if node.value not in point:
-            raise LoweringError(f"no value given for variable {node.value!r}")
-        v = point[node.value]
-        return {Fraction(0): v} if v else {}
-    if node.op == "e":
-        return {Fraction(1): Fraction(1)}
-    if node.op == "exp":
-        # the argument is linear, so its value here is an exact rational
-        return {_exp_sum_rational(exp_sum_at(node.args[0], point)): Fraction(1)}
-    if node.op == "sign":
-        v = _exp_sum_rational(exp_sum_at(node.args[0], point))
-        s = 0 if v == 0 else (1 if v > 0 else -1)
-        return {Fraction(0): Fraction(s)} if s else {}
-    if node.op == "neg":
-        return {k: -c for k, c in exp_sum_at(node.args[0], point).items()}
-    if node.op == "pow":
+def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+    f1, i1, j1, s1 = m1
+    f2, i2, j2, s2 = m2
+    exps = dict(s1)
+    for k, e in s2:
+        exps[k] = exps.get(k, 0) + e
+    signs = tuple(sorted((k, 2 - e % 2) for k, e in exps.items()))
+    return tuple(u + v for u, v in zip(f1, f2)), i1 + i2, j1 + j2, signs
+
+
+def _mul(p, q):
+    """Product of two lowered sides; expanded only by a single monomial."""
+    if p == _ONE_SUM:
+        return q
+    if q == _ONE_SUM:
+        return p
+    if isinstance(p, dict) and isinstance(q, dict) and min(len(p), len(q)) <= 1:
+        out: dict = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                _put(out, _mono_mul(m1, m2), c1 * c2)
+        return out
+    if p == {} or q == {}:
+        return {}
+    return ("mul", p, q)
+
+
+def _put(out: dict, key, c: Fraction) -> None:
+    """Add a nonzero c at key, dropping the key if the sum cancels."""
+    prev = out.setdefault(key, c)
+    if prev is not c:
+        nc = prev + c
+        if nc:
+            out[key] = nc
+        else:
+            del out[key]
+
+
+def _add(p, q, sgn: int):
+    if isinstance(p, dict) and isinstance(q, dict):
+        return _sum_add(p, q, sgn)
+    if sgn < 0:
+        q = _mul({_UNIT: Fraction(-1)}, q)
+    if p == {}:
+        return q
+    if q == {}:
+        return p
+    return ("add", p, q)
+
+
+def _pow(p, k: int):
+    if k == 1:
+        return p
+    if isinstance(p, dict) and len(p) <= 1:
+        out = dict(_ONE_SUM)
+        for _ in range(k):
+            out = _mul(out, p)
+        return out
+    return ("pow", p, k)
+
+
+def _lower(node: Node, signs: list, seen: dict) -> tuple:
+    """(num, den) of a tree in x and a; sign arguments go into `signs`."""
+    op = node.op
+    if op == "rat":
+        return ({_UNIT: node.value} if node.value else {}), _ONE_SUM
+    if op == "var":
+        mono = (_NO_EXP, 1, 0, ()) if node.value == "x" else (_NO_EXP, 0, 1, ())
+        return {mono: Fraction(1)}, _ONE_SUM
+    if op == "e":
+        return {((Fraction(1),) + _NO_EXP[1:], 0, 0, ()): Fraction(1)}, _ONE_SUM
+    if op == "exp":
+        lin = _linear_form(node.args[0], 0)
+        form = tuple(lin.get(key, Fraction(0)) for key in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        return {(form, 0, 0, ()): Fraction(1)}, _ONE_SUM
+    if op == "sign":
+        arg = node.args[0]
+        if arg not in seen:
+            signs.append(_lower(arg, signs, seen))
+            seen[arg] = len(signs) - 1
+        return {(_NO_EXP, 0, 0, ((seen[arg], 1),)): Fraction(1)}, _ONE_SUM
+    if op == "neg":
+        n, d = _lower(node.args[0], signs, seen)
+        return _add({}, n, -1), d
+    if op == "pow":
         k = node.value
-        base = exp_sum_at(node.args[0], point)
+        n, d = _lower(node.args[0], signs, seen)
         if k < 0:
-            base = _sum_reciprocal(base)
-        return _sum_pow(base, abs(k))
-    a = exp_sum_at(node.args[0], point)
-    b = exp_sum_at(node.args[1], point)
-    if node.op == "add":
-        return _sum_add(a, b, 1)
-    if node.op == "sub":
-        return _sum_add(a, b, -1)
-    if node.op == "mul":
-        return _sum_mul(a, b)
-    if node.op == "div":
-        return _sum_mul(a, _sum_reciprocal(b))
-    raise LoweringError(f"unknown node {node.op!r}")
+            n, d, k = d, n, -k
+        if k == 0:  # u^0 = d/d keeps the points where u is undefined
+            return d, d
+        return _pow(n, k), _pow(d, k)
+    (n1, d1), (n2, d2) = (_lower(c, signs, seen) for c in node.args)
+    if op in ("add", "sub"):
+        sgn = 1 if op == "add" else -1
+        if d1 == d2:
+            return _add(n1, n2, sgn), d1
+        return _add(_mul(n1, d2), _mul(n2, d1), sgn), _mul(d1, d2)
+    if op == "mul":
+        return _mul(n1, n2), _mul(d1, d2)
+    if op == "div":
+        return _mul(n1, d2), _mul(d1, n2)
+    raise LoweringError(f"unknown node {op!r}")
 
 
-def _exp_sum_rational(s: ExpSum) -> Fraction:
-    if not s:
-        return Fraction(0)
-    if set(s) != {Fraction(0)}:
-        raise LoweringError("value is not an exact rational here")
-    return s[Fraction(0)]
+@dataclass(frozen=True)
+class GridForm:
+    """A tree in x and a lowered once: num/den and the sign(...) table, in
+    the integer groups that exp_sum_at evaluates at each point."""
+
+    num: object
+    den: object
+    signs: tuple  # ((num, den), ...), each argument after those it uses
+    x_powers: frozenset  # the powers i of x and j of a that occur
+    a_powers: frozenset
+
+
+def lower_grid(node: Node) -> GridForm:
+    """Lower a tree in x and a once, for exp_sum_at at every grid point."""
+    signs: list = []
+    quotient = _lower(node, signs, {})
+    powers = (set(), set())
+    pairs = [tuple(_compile(p, powers) for p in pair) for pair in [*signs, quotient]]
+    return GridForm(*pairs[-1], tuple(pairs[:-1]), *map(frozenset, powers))
+
+
+def _compile(p, powers: tuple):
+    """Replace each sum by its groups ((s or None, exponent integers, L,
+    monomials), ...); s is the exponent when it is constant."""
+    if not isinstance(p, dict):
+        return (p[0], *(_compile(c, powers) if isinstance(c, (dict, tuple)) else c
+                        for c in p[1:]))
+    by_form: dict = {}
+    for (form, i, j, sg), c in p.items():
+        by_form.setdefault(form, []).append((c, i, j, sg))
+        powers[0].add(i)
+        powers[1].add(j)
+    groups = []
+    for form, monos in by_form.items():
+        fd = lcm(*(f.denominator for f in form))
+        ints = tuple(f.numerator * (fd // f.denominator) for f in form) + (fd,)
+        scale = lcm(*(c.denominator for c, *_ in monos))
+        monos = tuple((c.numerator * (scale // c.denominator), i, j, sg)
+                      for c, i, j, sg in monos)
+        const = form[0] if not any(form[1:]) else None
+        groups.append((const, ints, scale, monos))
+    return ("sum", tuple(groups))
+
+
+def exp_sum_at(form: GridForm, x: Fraction, a: Fraction) -> tuple[ExpSum, ExpSum]:
+    """(num, den) of a lowered tree at the rational point (x, a), each an
+    exact sum {s: c} of c * e^s.
+
+    Raises LoweringError when a sign(...) argument divides by zero here.
+    """
+    px, qx, pa, qa = x.numerator, x.denominator, a.numerator, a.denominator
+    xi, aj = max(form.x_powers, default=0), max(form.a_powers, default=0)
+    qq = qx * qa
+    ctx = (
+        {i: px**i * qx ** (xi - i) for i in form.x_powers},
+        {j: pa**j * qa ** (aj - j) for j in form.a_powers},
+        qx**xi * qa**aj,
+        (qq, px * qa, pa * qx, px * pa),
+        [],
+    )
+    for n, d in form.signs:
+        d = _sign(d, ctx)
+        if not d:
+            raise LoweringError("division by exact zero at this point")
+        ctx[4].append(_sign(n, ctx) * d)
+    return _at(form.num, ctx), _at(form.den, ctx)
+
+
+def _acc(monos, ctx) -> int:
+    """A group's coefficient at the point, times L * qx^I * qa^J."""
+    xs, as_, _, _, sv = ctx
+    acc = 0
+    for n, i, j, sg in monos:
+        for k, e in sg:
+            n *= sv[k] if e == 1 else sv[k] * sv[k]
+        acc += n * xs[i] * as_[j]
+    return acc
+
+
+def _sign(p, ctx) -> int:
+    """Sign of an exp-free side at the point."""
+    v = _at(p, ctx).get(0, 0)
+    return (v > 0) - (v < 0)
+
+
+def _at(p, ctx) -> ExpSum:
+    kind = p[0]
+    if kind == "mul":
+        return _sum_mul(_at(p[1], ctx), _at(p[2], ctx))
+    if kind == "pow":
+        return _sum_pow(_at(p[1], ctx), p[2])
+    if kind == "add":
+        return _sum_add(_at(p[1], ctx), _at(p[2], ctx), 1)
+    _, _, den, (qq, pxqa, paqx, pxpa), _ = ctx
+    out: ExpSum = {}
+    for const, (l0, lx, la, lxa, ld), scale, monos in p[1]:
+        acc = _acc(monos, ctx)
+        if acc:
+            if const is None:
+                const = Fraction(l0 * qq + lx * pxqa + la * paqx + lxa * pxpa, ld * qq)
+            _put(out, const, Fraction(acc, scale * den))
+    return out

@@ -19,11 +19,12 @@ prover and the interval arithmetic can certify):
   an exact MEP and by certified pointwise evidence otherwise.
 
 * `grid_check` classifies a two-parameter inequality on a rational grid.
-  At each point both sides collapse to exact finite sums of rational
-  multiples of e^s, so ties are recognized symbolically (no amount of
-  interval tightening could). A strict sign is read off coefficients of
-  one sign, or else off enclosures of a single e^(1/D) that narrow
-  only until they clear zero, down to the grid's eps.
+  The difference of the sides is lowered once to a quotient num/den; at
+  each point both collapse to exact finite sums of rational multiples of
+  e^s, so ties are recognized symbolically (no amount of interval
+  tightening could). A strict sign is read off coefficients of one sign,
+  or else off enclosures of a single e^(1/D) that narrow only until they
+  clear zero, down to the grid's eps.
 """
 
 from __future__ import annotations
@@ -32,7 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .arith import ConstExpr, RationalInterval, _sum_add, _sum_mul, exp_sum_sign
+from .arith import (
+    ConstExpr,
+    RationalInterval,
+    _sum_add,
+    _sum_mul,
+    _sum_reciprocal,
+    exp_sum_sign,
+)
 from .errors import (
     BudgetExceededError,
     EndpointValidationError,
@@ -41,7 +49,7 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from .expr import InequalityAst, exp_sum_at
+from .expr import InequalityAst, Node, exp_sum_at, lower_grid
 from .mep import ExpRational, Mep, _stretch, _value_sum, differentiate_quotient
 from .prover import (
     DEFAULT_MAX_L,
@@ -538,9 +546,14 @@ def grid_check(
     """Classify the inequality at every point of a rational grid.
 
     `steps` counts grid points per axis (one int for both, or a pair
-    (nx, na)); endpoints inclusive. Each point is first reduced to an
-    exact sum of rational multiples of powers of e, and the point takes
-    the sign of the difference (exp_sum_sign with eps as its floor).
+    (nx, na)); endpoints inclusive. The difference of the two sides is
+    lowered once (expr.lower_grid), and at each point its numerator and
+    denominator become exact sums of rational multiples of powers of e.
+    A single-term denominator divides exactly, and the point takes the
+    sign of the quotient (exp_sum_sign with eps as its floor); a
+    denominator of several terms gives the sign of the numerator times
+    that of the denominator; an exactly zero one, or a sign(...) argument
+    that divides by zero, leaves the point undecided.
     Cancellation to zero is detected symbolically, so equality rows of
     non-strict inequalities classify as holds no matter how close the
     sides are. A difference whose coefficients share one sign is signed
@@ -558,21 +571,21 @@ def grid_check(
     strict = ineq.strict
     want_less = ineq.cmp in ("<", "<=")
 
+    form = lower_grid(Node("sub", (ineq.left, ineq.right)))
+
     holds: list[tuple[Fraction, Fraction]] = []
     fails: list[tuple[Fraction, Fraction]] = []
     undecided: list[tuple[Fraction, Fraction]] = []
     for xv in xs:
         for av in as_:
-            point = {"x": xv, "a": av}
             try:
-                left = exp_sum_at(ineq.left, point)
-                right = exp_sum_at(ineq.right, point)
-            except LoweringError:
-                undecided.append((xv, av))
-                continue
-            try:
-                sgn = exp_sum_sign(_sum_add(left, right, -1), eps)
-            except BudgetExceededError:
+                num, den = exp_sum_at(form, xv, av)
+                if len(den) > 1:
+                    sgn = exp_sum_sign(num, eps)
+                    sgn *= sgn and exp_sum_sign(den, eps)
+                else:  # _sum_reciprocal raises on an exactly zero den
+                    sgn = exp_sum_sign(_sum_mul(num, _sum_reciprocal(den)), eps)
+            except (LoweringError, BudgetExceededError):
                 undecided.append((xv, av))
                 continue
             if sgn == 0:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -126,10 +127,31 @@ def test_exp_enclosure_both_signs():
     assert contains_ref(big, sum(F(5**k, factorial(k)) for k in range(80)))
 
 
+def _fraction_brackets(t):
+    # the former Fraction walk of the bracket: (T_{2m-1}(t), T_{2m}(t),
+    # t^(2m)/(2m)!) for m = 1, 2, ..., each from the previous partial sum
+    acc = term = F(1)
+    for k in range(1, 401):
+        term *= -t / k
+        acc += term
+        if k % 2 == 0:
+            yield acc - term, acc, term
+
+
+def _fraction_exp_enclosure(s, eps):
+    # the former Fraction exp_enclosure for s > 0
+    inner = eps if eps < 1 else F(1, 2)
+    for lo, hi, width in _fraction_brackets(s):
+        if width < inner and lo > 0 and 1 / lo - 1 / hi < eps:
+            return RationalInterval(1 / hi, 1 / lo)
+    raise BudgetExceededError("reference walk hit the order cap")
+
+
 def test_exp_enclosure_matches_retry_reference():
     # the former exp_enclosure for s > 0: restart the exp(-s) bracket with
     # the tolerance quartered until its reciprocal is narrow enough. For
-    # s = 1/D <= 1, walking one partial sum must pick the same bracket.
+    # s <= 1, walking one partial sum must pick the same bracket, whatever
+    # the numerator of s.
     def reference(s, eps):
         inner = eps if eps < 1 else F(1, 2)
         while True:
@@ -138,10 +160,38 @@ def test_exp_enclosure_matches_retry_reference():
                 return box.reciprocal()
             inner /= 4
 
-    for d in range(1, 7):
+    exponents = [F(1, d) for d in range(1, 7)] + [F(3, 5), F(5, 7), F(2, 3), F(7, 9)]
+    for s in exponents:
         for bits in (0, 1, 2, 5, 16, 33, 64, 100, 257, 700):
             for eps in (F(1, 2**bits), F(3, 2**bits), F(1, 10**bits)):
-                assert exp_enclosure(F(1, d), eps) == reference(F(1, d), eps)
+                assert exp_enclosure(s, eps) == reference(s, eps)
+
+
+def test_exp_enclosure_matches_fraction_walk():
+    # the integer bracket returns the interval the Fraction walk returned,
+    # for exponents above 1 and numerators above 1 too
+    rng = random.Random(29)
+    for _ in range(150):
+        s = F(rng.randint(1, 60), rng.randint(1, 12))
+        eps = F(rng.randint(1, 9), 10 ** rng.randint(0, 60))
+        assert exp_enclosure(s, eps) == _fraction_exp_enclosure(s, eps)
+        assert exp_enclosure(-s, eps) == enclose_exp_neg(s, eps)
+
+
+def test_enclose_exp_neg_matches_fraction_walk():
+    rng = random.Random(31)
+    for _ in range(150):
+        t = F(rng.randint(1, 60), rng.randint(1, 12))
+        eps = F(rng.randint(1, 9), 10 ** rng.randint(0, 60))
+        want = next(
+            RationalInterval(lo, hi)
+            for lo, hi, width in _fraction_brackets(t)
+            if width < eps
+        )
+        assert enclose_exp_neg(t, eps) == want
+        m = rng.randint(1, 30)
+        lo, hi, _ = next(islice(_fraction_brackets(t), m - 1, None))
+        assert enclose_exp_neg(t, F(1), m_force=m) == RationalInterval(lo, hi)
 
 
 def test_const_expr_rational_degenerate():

@@ -1,15 +1,19 @@
 """Expression grammar: parsing, printing, lowering, pointwise values."""
 
+import contextlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from expocert.arith import _sum_add, _sum_mul, _sum_pow, _sum_reciprocal
 from expocert.errors import LoweringError, NonlinearExpArgumentError, ParseError
 from expocert.expr import (
     EXPONENT_CAP,
     Node,
+    _linear_form,
     exp_sum_at,
+    lower_grid,
     lower_to_quotient,
     node_text,
     parse_expression,
@@ -240,23 +244,227 @@ def test_lowering_rejections():
         lower_to_quotient(parse_expression("1/(x - x)"))
 
 
+def _grid_value(text, x, a):
+    """The point's value num/den as one sum, for a single-term den."""
+    num, den = exp_sum_at(lower_grid(parse_expression(text)), x, a)
+    assert len(den) == 1
+    return _sum_mul(num, _sum_reciprocal(den))
+
+
 def test_exp_sum_at_points():
-    pt = {"x": F(1, 2), "a": F(-3)}
-    assert exp_sum_at(parse_expression("exp(a*x)"), pt) == {F(-3, 2): F(1)}
-    assert exp_sum_at(parse_expression("e"), pt) == {F(1): F(1)}
-    assert exp_sum_at(parse_expression("sign(a)"), pt) == {F(0): F(-1)}
-    assert exp_sum_at(parse_expression("sign(a - a)"), pt) == {}
-    # single-term division is exact
-    assert exp_sum_at(parse_expression("exp(x)/exp(a)"), pt) == {F(7, 2): F(1)}
-    combo = exp_sum_at(parse_expression("2*exp(a*x) - exp(-x) + 1"), pt)
+    x, a = F(1, 2), F(-3)
+    assert _grid_value("exp(a*x)", x, a) == {F(-3, 2): F(1)}
+    assert _grid_value("e", x, a) == {F(1): F(1)}
+    assert _grid_value("sign(a)", x, a) == {F(0): F(-1)}
+    assert _grid_value("sign(a - a)", x, a) == {}
+    # a single-term denominator divides exactly
+    assert exp_sum_at(lower_grid(parse_expression("exp(x)/exp(a)")), x, a) == (
+        {F(1, 2): F(1)}, {F(-3): F(1)}
+    )
+    assert _grid_value("exp(x)/exp(a)", x, a) == {F(7, 2): F(1)}
+    combo = _grid_value("2*exp(a*x) - exp(-x) + 1", x, a)
     assert combo == {F(-3, 2): F(2), F(-1, 2): F(-1), F(0): F(1)}
+    # groups whose exponents meet at this point merge, and cancel
+    assert exp_sum_at(lower_grid(parse_expression("exp(x) - exp(a)")), F(2), F(2)) == (
+        {}, {F(0): F(1)}
+    )
+    assert _grid_value("exp(a*x) + exp(x/2)", F(1, 2), F(1, 2)) == {F(1, 4): F(2)}
 
 
 def test_exp_sum_division_limits():
-    pt = {"x": F(1), "a": F(0)}
+    form = lower_grid(parse_expression("1/(exp(x) + 1)"))
+    # a sum in the denominator is kept, for its sign
+    assert exp_sum_at(form, F(1), F(0)) == ({F(0): F(1)}, {F(1): F(1), F(0): F(1)})
+    # an exact zero denominator stays an exact zero
+    assert exp_sum_at(lower_grid(parse_expression("1/(x - 1)")), F(1), F(0))[1] == {}
     with pytest.raises(LoweringError):
-        exp_sum_at(parse_expression("1/(exp(x) + 1)"), pt)
-    with pytest.raises(LoweringError):
-        exp_sum_at(parse_expression("1/(x - 1)"), pt)
-    with pytest.raises(LoweringError):
-        exp_sum_at(parse_expression("sign(x - 1 + a)"), {"x": F(1)})
+        exp_sum_at(lower_grid(parse_expression("sign(1/(x - 1 + a))")), F(1), F(0))
+
+
+def test_grid_lowering_keeps_powers_of_sums():
+    # the power of a sum is held once and raised at each point, not
+    # expanded; products by one monomial expand into the sum
+    form = lower_grid(parse_expression("2*(1 + x + a + exp(x))^40 - x*a*exp(a)"))
+    assert form.den == ("sum", ((F(0), (0, 0, 0, 0, 1), 1, ((1, 0, 0, ()),)),))
+    kind, (scaled, two, (power, base, k)), rest = form.num
+    assert (kind, scaled, power, k) == ("add", "mul", "pow", 40)
+    assert two == ("sum", ((F(0), (0, 0, 0, 0, 1), 1, ((2, 0, 0, ()),)),))
+    assert base[0] == "sum" and sum(len(g[3]) for g in base[1]) == 4
+    assert rest[0] == "sum" and len(rest[1]) == 1
+    value = _grid_value("(1 + x + a + exp(x))^40", F(1, 3), F(-1, 2))
+    assert len(value) == 41 and value[F(40, 3)] == 1
+    # sign arguments are lowered once each, however often they occur
+    form = lower_grid(parse_expression("sign(a)*exp(a*x) - sign(a)*(x + 1) + sign(x - a)"))
+    assert len(form.signs) == 2
+
+
+def _old_exp_sum_at(node, point):
+    # the former recursive grid evaluator: one walk of the tree per side
+    # and per point, exact only when every divisor is a single term
+    def rational(s):
+        if not s:
+            return F(0)
+        if set(s) != {F(0)}:
+            raise LoweringError("value is not an exact rational here")
+        return s[F(0)]
+
+    if node.op == "rat":
+        return {F(0): node.value} if node.value else {}
+    if node.op == "var":
+        v = point[node.value]
+        return {F(0): v} if v else {}
+    if node.op == "e":
+        return {F(1): F(1)}
+    if node.op == "exp":
+        return {rational(_old_exp_sum_at(node.args[0], point)): F(1)}
+    if node.op == "sign":
+        v = rational(_old_exp_sum_at(node.args[0], point))
+        return {F(0): F((v > 0) - (v < 0))} if v else {}
+    if node.op == "neg":
+        return {k: -c for k, c in _old_exp_sum_at(node.args[0], point).items()}
+    if node.op == "pow":
+        base = _old_exp_sum_at(node.args[0], point)
+        if node.value < 0:
+            base = _sum_reciprocal(base)
+        return _sum_pow(base, abs(node.value))
+    a = _old_exp_sum_at(node.args[0], point)
+    b = _old_exp_sum_at(node.args[1], point)
+    if node.op == "add":
+        return _sum_add(a, b, 1)
+    if node.op == "sub":
+        return _sum_add(a, b, -1)
+    if node.op == "mul":
+        return _sum_mul(a, b)
+    return _sum_mul(a, _sum_reciprocal(b))
+
+
+def _pair_at(node, point):
+    # an independent quotient evaluator: (num, den) sums by the fraction
+    # rules at the point, with u^0 = den/den as in the lowering
+    one = {F(0): F(1)}
+    if node.op in ("rat", "var"):
+        v = node.value if node.op == "rat" else point[node.value]
+        return ({F(0): v} if v else {}), one
+    if node.op == "e":
+        return {F(1): F(1)}, one
+    if node.op == "exp":
+        lin = _linear_form(node.args[0], 0)
+        s = sum(c * point["x"] ** i * point["a"] ** j for (i, j), c in lin.items())
+        return {F(s): F(1)}, one
+    if node.op == "sign":
+        n, d = _pair_at(node.args[0], point)
+        if not d:
+            raise LoweringError("division by exact zero")
+        v = n.get(F(0), F(0)) * d[F(0)]
+        return ({F(0): F((v > 0) - (v < 0))} if v else {}), one
+    if node.op == "neg":
+        n, d = _pair_at(node.args[0], point)
+        return {k: -c for k, c in n.items()}, d
+    if node.op == "pow":
+        n, d = _pair_at(node.args[0], point)
+        k = node.value
+        if k < 0:
+            n, d, k = d, n, -k
+        return (d, d) if k == 0 else (_sum_pow(n, k), _sum_pow(d, k))
+    (n1, d1), (n2, d2) = (_pair_at(c, point) for c in node.args)
+    if node.op in ("add", "sub"):
+        sgn = 1 if node.op == "add" else -1
+        return _sum_add(_sum_mul(n1, d2), _sum_mul(n2, d1), sgn), _sum_mul(d1, d2)
+    if node.op == "mul":
+        return _sum_mul(n1, n2), _sum_mul(d1, d2)
+    return _sum_mul(n1, d2), _sum_mul(d1, n2)
+
+
+def _nested_quotient(node):
+    # True when some divisor is itself a quotient: 1/(1/(exp(x) + 1)) has a
+    # single-term denominator, though the old walk failed on it
+    def has_quotient(n):
+        return (n.op == "div" or (n.op == "pow" and n.value < 0)
+                or any(has_quotient(c) for c in n.args))
+
+    if node.op == "div" and has_quotient(node.args[1]):
+        return True
+    if node.op == "pow" and node.value < 0 and has_quotient(node.args[0]):
+        return True
+    return any(_nested_quotient(c) for c in node.args)
+
+
+def _swap_variables(node):
+    if node.op == "var":
+        return Node("var", value="a" if node.value == "x" else "x")
+    return Node(node.op, tuple(_swap_variables(c) for c in node.args), node.value)
+
+
+def test_grid_lowering_matches_recursive_walk():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rat = small.map(lambda v: Node("rat", value=v))
+    var = st.sampled_from([Node("var", value="x"), Node("var", value="a")])
+
+    def linear(c):
+        terms = [Node("rat", value=c[0]),
+                 Node("mul", (Node("rat", value=c[1]), Node("var", value="x"))),
+                 Node("mul", (Node("rat", value=c[2]), Node("var", value="a"))),
+                 Node("mul", (Node("mul", (Node("rat", value=c[3]), Node("var", value="x"))),
+                              Node("var", value="a")))]
+        node = terms[0]
+        for t in terms[1:]:
+            node = Node("add", (node, t))
+        return Node("exp", (node,))
+
+    def branches(kids):
+        return st.one_of(
+            st.tuples(st.sampled_from(["add", "sub", "mul", "div"]), kids, kids).map(
+                lambda t: Node(t[0], t[1:])),
+            kids.map(lambda k: Node("neg", (k,))),
+            st.tuples(kids, st.integers(-3, 3)).map(
+                lambda t: Node("pow", (t[0],), value=t[1])),
+        )
+
+    exp_free = st.recursive(st.one_of(var, rat), branches, max_leaves=4)
+    leaves = st.one_of(
+        var, rat, st.just(Node("e")),
+        st.tuples(*[st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2)])] * 4).map(linear),
+        exp_free.map(lambda u: Node("sign", (u,))),
+    )
+    trees = st.recursive(leaves, branches, max_leaves=8)
+    # few coordinates, so that x = a and exponents of distinct groups meet
+    coords = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tree=trees, x=coords, a=coords)
+    def check(tree, x, a):
+        point = {"x": x, "a": a}
+        try:
+            num, den = exp_sum_at(lower_grid(tree), x, a)
+        except LoweringError:
+            num = den = None
+        try:
+            pair = _pair_at(tree, point)
+        except LoweringError:
+            pair = None
+        assert (num is None) == (pair is None)
+        if pair is not None:
+            # no zero coefficient is stored
+            assert all(num.values()) and all(den.values())
+            # the same quotient, and zero denominators at the same points
+            assert (not den) == (not pair[1])
+            assert _sum_mul(num, pair[1]) == _sum_mul(pair[0], den)
+        # t(x, a) - t(a, x) vanishes at x = a: groups whose forms differ
+        # meet there and must cancel to nothing
+        twin = lower_grid(Node("sub", (tree, _swap_variables(tree))))
+        with contextlib.suppress(LoweringError):
+            assert exp_sum_at(twin, x, x)[0] == {}
+        try:
+            old = _old_exp_sum_at(tree, point)
+        except LoweringError:
+            # undecided, or decided only through a multi-term den or a
+            # divisor that is itself a quotient
+            assert num is None or len(den) != 1 or _nested_quotient(tree)
+            return
+        assert num is not None and len(den) == 1
+        assert _sum_mul(num, _sum_reciprocal(den)) == old
+
+    check()

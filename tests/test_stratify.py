@@ -4,16 +4,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from expocert.arith import ConstExpr, _sum_add, lau_enclosure
+from expocert.arith import ConstExpr, _sum_mul, _sum_reciprocal, lau_enclosure
 from expocert.errors import (
     BudgetExceededError,
     EndpointValidationError,
-    LoweringError,
     MonotonicityUnprovenError,
     PreconditionError,
 )
 from expocert.expr import (
+    Node,
     exp_sum_at,
+    lower_grid,
     parse_expression,
     parse_inequality,
     to_const,
@@ -320,14 +321,18 @@ def test_grid_undecided_then_decided():
     assert len(fine.undecided_at) == 0 and len(fine.holds_at) == 4
 
 
-def test_grid_unloweable_points_are_undecided():
+def test_grid_quotients_and_zero_denominators():
+    # a denominator that is a sum of exponentials is signed with the
+    # numerator, so the point is decided
     ineq = parse_inequality("1/(exp(a*x) + 1) <= 1")
     rep = grid_check(ineq, (F(1, 2), F(1)), (F(1), F(2)), 2)
-    assert len(rep.undecided_at) == rep.total == 4
-    # at a*x = 0 the divisor is the single term 2, which lowers exactly
-    rep = grid_check(ineq, (F(0), F(1)), (F(1), F(2)), 2)
-    assert set(rep.holds_at) == {(F(0), F(1)), (F(0), F(2))}
-    assert len(rep.undecided_at) == 2
+    assert len(rep.holds_at) == rep.total == 4
+    rep = grid_check(parse_inequality("exp(x)/(exp(a) - exp(x)) > 0"), (0, 1), (-1, 1), 3)
+    assert set(rep.holds_at) == {(F(0), F(1)), (F(1, 2), F(1))}
+    # where the denominator is exactly zero the point stays undecided
+    assert set(rep.undecided_at) == {(F(0), F(0)), (F(1), F(1))}
+    rep = grid_check(parse_inequality("x/(x - a) > 0"), (0, 1), (-1, 1), 3)
+    assert set(rep.undecided_at) == {(F(0), F(0)), (F(1), F(1))}
 
 
 def test_grid_signs_match_sympy_and_full_enclosures():
@@ -372,15 +377,11 @@ def test_grid_signs_match_sympy_and_full_enclosures():
         verdicts.update({p: "fails" for p in rep.fails_at})
         assert rep.total == steps[0] * steps[1] == len(verdicts) + len(rep.undecided_at)
         want_less = ineq.cmp in ("<", "<=")
+        form = lower_grid(Node("sub", (ineq.left, ineq.right)))
         for xv, av in verdicts.keys() | set(rep.undecided_at):
-            point = {"x": xv, "a": av}
-            try:
-                diff = _sum_add(
-                    exp_sum_at(ineq.left, point), exp_sum_at(ineq.right, point), -1
-                )
-            except LoweringError:
-                assert (xv, av) in rep.undecided_at
-                continue
+            num, den = exp_sum_at(form, xv, av)
+            assert len(den) == 1  # no grid here divides by a sum
+            diff = _sum_mul(num, _sum_reciprocal(den))
             sgn = sign_of(diff)
             if sgn == 0:
                 want = "fails" if ineq.strict else "holds"

@@ -91,6 +91,27 @@ def test_gap_enclosure_matches_forced_orders():
         assert gap_enclosure(n, x, eps) == reference(n, x, eps)
 
 
+def test_gap_enclosure_matches_fraction_walk():
+    # the former walk: the bracket's partial sums kept as Fractions
+    def reference(n, x, eps):
+        tn = maclaurin(n).poly.eval(x)
+        acc = term = F(1)
+        for k in range(1, 401):
+            term *= -x / k
+            acc += term
+            if k % 2 == 0 and k // 2 > (n + 1) // 2:
+                out = RationalInterval(tn - acc, tn - (acc - term))
+                if out.width < eps and out.definite_sign() != 0:
+                    return out
+
+    rng = random.Random(37)
+    for _ in range(40):
+        n = rng.randint(1, 20)
+        x = F(rng.randint(1, 300), rng.randint(1, 150))
+        eps = F(rng.randint(1, 9), 10 ** rng.randint(0, 40))
+        assert gap_enclosure(n, x, eps) == reference(n, x, eps)
+
+
 def test_bracket_interleaving_on_unit_interval():
     # T_1 < T_3 < ... < e^(-x) < ... < T_4 < T_2 pointwise on (0,1)
     rng = random.Random(17)
