@@ -7,7 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from expocert.arith import _sum_add, _sum_mul, _sum_pow, _sum_reciprocal
-from expocert.errors import LoweringError, NonlinearExpArgumentError, ParseError
+from expocert.errors import (
+    LoweringError,
+    NonlinearExpArgumentError,
+    ParseError,
+    PreconditionError,
+)
 from expocert.expr import (
     EXPONENT_CAP,
     Node,
@@ -18,6 +23,7 @@ from expocert.expr import (
     node_text,
     parse_expression,
     parse_inequality,
+    to_const,
     to_exp_rational,
     variables,
 )
@@ -232,16 +238,26 @@ def test_lowering_quotient_shape():
 
 
 def test_lowering_rejections():
-    with pytest.raises(LoweringError):
+    with pytest.raises(LoweringError, match=r"^the bare constant e has no exact"):
         to_exp_rational(parse_expression("e + x"))  # bare e has no MEP form
-    with pytest.raises(LoweringError):
+    with pytest.raises(LoweringError, match=r"^variable a is not allowed in a proof input$"):
         to_exp_rational(parse_expression("exp(a*x)"))
-    with pytest.raises(LoweringError):
+    with pytest.raises(LoweringError, match=r"^only the variable x can appear in a proof input$"):
+        to_exp_rational(parse_expression("a + x"))
+    with pytest.raises(LoweringError, match=r"^sign\(\) is not supported in proof inputs$"):
         to_exp_rational(parse_expression("sign(x) * x"))
-    with pytest.raises(LoweringError):
+    with pytest.raises(LoweringError, match=r"^exp argument has a constant offset"):
         to_exp_rational(parse_expression("exp(x + 1)"))  # constant offset
-    with pytest.raises(LoweringError):
+    with pytest.raises(LoweringError, match=r"^division by exact zero$"):
         lower_to_quotient(parse_expression("1/(x - x)"))
+    with pytest.raises(PreconditionError, match=r"^denominator is identically zero$"):
+        to_exp_rational(parse_expression("(x - x)^-1"))
+    with pytest.raises(LoweringError, match=r"^variable 'x' in a constant expression$"):
+        to_const(parse_expression("x + 1"))
+    with pytest.raises(LoweringError, match=r"^exp argument is not constant here$"):
+        to_const(parse_expression("exp(x)"))
+    with pytest.raises(LoweringError, match=r"^exp\(1/2\) is not a rational power of e$"):
+        to_const(parse_expression("exp(1/2)"))
 
 
 def _grid_value(text, x, a):
