@@ -376,12 +376,13 @@ class ConstExpr:
     """A rational function of e, held exactly as a quotient num/den of two
     sums over integer powers of e (ExpSum dicts with exponents >= 0).
 
-    +, -, *, / and integer powers combine the pairs by the fraction rules,
-    without reduction. A sum is zero exactly when its dict is empty (see
-    exp_sum_sign), so exact zeroness and the sign are decided outright, and
-    the value is enclosed by quotient_enclosure like any quotient of sums.
-    Dividing by an exact zero leaves den = {}, which raises
-    DivisionByPossiblyZeroError when the value is used.
+    expr.to_const builds one from an expression; +, - and / combine the
+    pairs by the fraction rules, without reduction. A sum is zero exactly
+    when its dict is empty (see exp_sum_sign), so exact zeroness and the
+    sign are decided outright, and the value is enclosed by
+    quotient_enclosure like any quotient of sums. Dividing by an exact zero
+    leaves den = {}, which raises DivisionByPossiblyZeroError when the
+    value is used.
     """
 
     num: ExpSum
@@ -393,10 +394,6 @@ class ConstExpr:
     def rational(cls, q) -> "ConstExpr":
         q = _rat(q)
         return cls({Fraction(0): q} if q else {}, _ONE)
-
-    @classmethod
-    def e(cls) -> "ConstExpr":
-        return cls({Fraction(1): Fraction(1)}, _ONE)
 
     @staticmethod
     def _coerce(v) -> "ConstExpr":
@@ -416,24 +413,9 @@ class ConstExpr:
     def __sub__(self, other):
         return self._add(self._coerce(other), -1)
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return ConstExpr(_sum_mul(self.num, other.num), _sum_mul(self.den, other.den))
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = self._coerce(other)
         return ConstExpr(_sum_mul(self.num, other.den), _sum_mul(self.den, other.num))
-
-    def __neg__(self):
-        return ConstExpr({k: -c for k, c in self.num.items()}, self.den)
-
-    def __pow__(self, n: int):
-        if not self.den:
-            return self
-        num, den = (self.num, self.den) if n >= 0 else (self.den, self.num)
-        return ConstExpr(_sum_pow(num, abs(n)), _sum_pow(den, abs(n)))
 
     def _checked(self) -> tuple[ExpSum, ExpSum]:
         if not self.den:

@@ -19,16 +19,16 @@ value is computable pointwise.
 Constant subexpressions made only of rationals fold during parsing, so
 the canonical printer and the parser are mutually inverse on ASTs.
 
-Three lowerings leave this module: `to_const` (no variables) produces a
-constant in e, an exact quotient of sums over integer powers of e that
-`arith` signs and encloses, `to_exp_rational` (variable x) produces the
-quotient of mixed exponential polynomials the prover works on, stretching
-x by the shared `mep` substitution when exponential rates are fractional,
-and `lower_grid` (variables x, a) lowers an expression once per grid to a
-quotient of sparse sums over monomials x^i * a^j * exp(linear form), held
-on integers. `exp_sum_at` then evaluates that quotient at each rational
-grid point into two exact finite sums of rational multiples of e^s, which
-`arith` signs.
+One lowering, `_lower`, turns a tree in x and a into a quotient num/den
+of sparse sums over monomials x^i * a^j * exp(linear form), and den
+vanishes wherever a divisor in the tree is zero or undefined. Three
+readings follow. `lower_grid` and `exp_sum_at` evaluate it at each
+rational grid point into two exact finite sums of rational multiples of
+e^s, which `arith` signs. `to_const` (no variables) reads it at the
+origin as a constant in e that `arith` signs and encloses.
+`to_exp_rational` (variable x) multiplies it out into the quotient of
+mixed exponential polynomials the prover works on, stretching x by the
+shared `mep` substitution when exponential rates are fractional.
 """
 
 from __future__ import annotations
@@ -449,185 +449,24 @@ def _prec(n: Node) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lowering to constants
-
-
-def to_const(node: Node) -> ConstExpr:
-    """Variable-free expression -> rational function of e.
-
-    exp(k) survives only for integer k (as e^k); anything else cannot be
-    represented exactly in that field.
-    """
-    if node.op == "rat":
-        return ConstExpr.rational(node.value)
-    if node.op == "var":
-        raise LoweringError(f"variable {node.value!r} in a constant expression")
-    if node.op == "e":
-        return ConstExpr.e()
-    if node.op == "exp":
-        form = _linear_form(node.args[0], 0)
-        if set(form) - {(0, 0)}:
-            raise LoweringError("exp argument is not constant here")
-        v = form.get((0, 0), Fraction(0))
-        if v.denominator != 1:
-            raise LoweringError(f"exp({v}) is not a rational power of e")
-        return ConstExpr.e() ** int(v)
-    if node.op == "sign":
-        # argument is exp/e-free, so it has an exact rational value
-        return ConstExpr.rational(to_const(node.args[0]).sign())
-    if node.op == "neg":
-        return -to_const(node.args[0])
-    if node.op == "pow":
-        return to_const(node.args[0]) ** node.value
-    a = to_const(node.args[0])
-    b = to_const(node.args[1])
-    if node.op == "add":
-        return a + b
-    if node.op == "sub":
-        return a - b
-    if node.op == "mul":
-        return a * b
-    if node.op == "div":
-        return a / b
-    raise LoweringError(f"unknown node {node.op!r}")
-
-
-# ---------------------------------------------------------------------------
-# lowering to MEP quotients (variable x only)
+# the one lowering
 #
-# Working form: a pair of raw term lists [(alpha, p, q)] with integer
-# p >= 0 and *rational*, any-sign q; exp(c*x) contributes q = -c. The
-# final step clears negative q (normalize) and non-integer q (a common
-# variable stretch shared by numerator and denominator).
-
-_RawTerms = list  # [(Fraction alpha, int p, Fraction q)]
-
-
-def _rq_const(c: Fraction) -> tuple[_RawTerms, _RawTerms]:
-    return ([(c, 0, Fraction(0))] if c else []), [(Fraction(1), 0, Fraction(0))]
-
-
-def _rq_mul_terms(a: _RawTerms, b: _RawTerms) -> _RawTerms:
-    out: dict[tuple[int, Fraction], Fraction] = {}
-    for ca, pa, qa in a:
-        for cb, pb, qb in b:
-            key = (pa + pb, qa + qb)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return [(c, p, q) for (p, q), c in sorted(out.items()) if c != 0]
-
-
-def _rq_add(x, y):
-    xn, xd = x
-    yn, yd = y
-    if xd == yd:
-        return _rq_sum_terms(xn, yn), xd
-    return (
-        _rq_sum_terms(_rq_mul_terms(xn, yd), _rq_mul_terms(yn, xd)),
-        _rq_mul_terms(xd, yd),
-    )
-
-
-def _rq_sum_terms(a: _RawTerms, b: _RawTerms) -> _RawTerms:
-    out: dict[tuple[int, Fraction], Fraction] = {}
-    for c, p, q in list(a) + list(b):
-        key = (p, q)
-        out[key] = out.get(key, Fraction(0)) + c
-    return [(c, p, q) for (p, q), c in sorted(out.items()) if c != 0]
-
-
-def _rq_neg(x):
-    n, d = x
-    return [(-c, p, q) for c, p, q in n], d
-
-
-def lower_to_quotient(node: Node) -> tuple[_RawTerms, _RawTerms]:
-    """Lower an x-only tree to (numerator terms, denominator terms)."""
-    if node.op == "rat":
-        return _rq_const(node.value)
-    if node.op == "var":
-        if node.value != "x":
-            raise LoweringError("only the variable x can appear in a proof input")
-        return [(Fraction(1), 1, Fraction(0))], [(Fraction(1), 0, Fraction(0))]
-    if node.op == "e":
-        raise LoweringError(
-            "the bare constant e has no exact mixed-exponential form; "
-            "write exp(c*x) factors instead"
-        )
-    if node.op == "exp":
-        form = _linear_form(node.args[0], 0)
-        if (0, 1) in form or (1, 1) in form:
-            raise LoweringError("variable a is not allowed in a proof input")
-        if form.get((0, 0)):
-            raise LoweringError(
-                "exp argument has a constant offset; its value is not an "
-                "exact rational coefficient"
-            )
-        c = form.get((1, 0), Fraction(0))
-        return [(Fraction(1), 0, -c)], [(Fraction(1), 0, Fraction(0))]
-    if node.op == "sign":
-        raise LoweringError("sign() is not supported in proof inputs")
-    if node.op == "neg":
-        return _rq_neg(lower_to_quotient(node.args[0]))
-    if node.op == "pow":
-        k = node.value
-        n, d = lower_to_quotient(node.args[0])
-        if k < 0:
-            n, d, k = d, n, -k
-            if not n:
-                raise LoweringError("division by exact zero")
-        rn, rd = _rq_const(Fraction(1))
-        for _ in range(k):
-            rn = _rq_mul_terms(rn, n)
-            rd = _rq_mul_terms(rd, d)
-        return rn, rd
-    a = lower_to_quotient(node.args[0])
-    b = lower_to_quotient(node.args[1])
-    if node.op == "add":
-        return _rq_add(a, b)
-    if node.op == "sub":
-        return _rq_add(a, _rq_neg(b))
-    if node.op == "mul":
-        return _rq_mul_terms(a[0], b[0]), _rq_mul_terms(a[1], b[1])
-    if node.op == "div":
-        if not b[0]:
-            raise LoweringError("division by exact zero")
-        return _rq_mul_terms(a[0], b[1]), _rq_mul_terms(a[1], b[0])
-    raise LoweringError(f"unknown node {node.op!r}")
-
-
-def to_exp_rational(node: Node) -> tuple[ExpRational, int]:
-    """Lower to an exact quotient of canonical MEPs.
-
-    Returns (quotient, stretch v). Positive exponentials are cleared per
-    side by a positive-factor multiplication, which preserves the sign of
-    each side but not its value; the quotient is therefore sign-faithful,
-    which is all the prover needs. When fractional exponential powers
-    occur, both sides get the substitution x = v*z with one shared v and
-    the result lives in the variable z; callers must shrink intervals by
-    v. v = 1 means the quotient is literally equal to the input.
-    """
-    v, (num, den) = _stretch(lower_to_quotient(node))
-    return ExpRational(normalize(num), normalize(den)), v
-
-
-# ---------------------------------------------------------------------------
-# the two-parameter grid: one lowering per command, integers at each point
-#
-# lower_grid turns the tree, once, into a quotient num/den. Each side is a
+# _lower turns a tree, once, into a quotient num/den. Each side is a
 # sparse sum, or a product, power or sum of such sums that is kept
 # unexpanded: expanding (1 + x + exp(x))^40 costs far more than raising
-# its value at each point. A sum is a dict {(form, i, j, signs): c} for
-# the monomial c * x^i * a^j * prod sign_k^e_k * exp(form), where form =
-# (l0, lx, la, lxa) spans the exp arguments 1, x, a, x*a that
+# its value at each grid point. A sum is a dict {(form, i, j, signs): c}
+# for the monomial c * x^i * a^j * prod sign_k^e_k * exp(form), where form
+# = (l0, lx, la, lxa) spans the exp arguments 1, x, a, x*a that
 # _linear_form admits and signs holds pairs (k, e) into a table of the
 # distinct sign(...) arguments, e = 1 or 2 (sign^3 = sign). Products by a
 # single monomial expand; products of two longer sums do not.
 #
-# At a rational point every exp(form) collapses to e^s with rational s,
-# so each side becomes an exact finite sum {s: c} (arith.ExpSum). Each
-# group of monomials sharing one form is stored on integers over one
-# denominator L, so its coefficient at x = px/qx, a = pa/qa is a single
-# integer sum over L * qx^I * qa^J.
+# A quotient is undefined wherever one of its divisors is zero or itself
+# undefined. So a division keeps the divisor's own den as a factor of both
+# sides, a negative power is the power of such a quotient 1/u, and u^0 is
+# den/den: den vanishes wherever any divisor in the tree does. A divisor
+# den that is one monomial c * exp(form) free of x, a and sign cannot
+# vanish, and is not kept.
 
 _NO_EXP = (Fraction(0),) * 4
 _UNIT = (_NO_EXP, 0, 0, ())
@@ -651,14 +490,19 @@ def _mul(p, q):
     if q == _ONE_SUM:
         return p
     if isinstance(p, dict) and isinstance(q, dict) and min(len(p), len(q)) <= 1:
-        out: dict = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                _put(out, _mono_mul(m1, m2), c1 * c2)
-        return out
+        return _product(p, q)
     if p == {} or q == {}:
         return {}
     return ("mul", p, q)
+
+
+def _product(p: dict, q: dict) -> dict:
+    """Two sparse sums multiplied out."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            _put(out, _mono_mul(m1, m2), c1 * c2)
+    return out
 
 
 def _put(out: dict, key, c: Fraction) -> None:
@@ -688,10 +532,7 @@ def _pow(p, k: int):
     if k == 1:
         return p
     if isinstance(p, dict) and len(p) <= 1:
-        out = dict(_ONE_SUM)
-        for _ in range(k):
-            out = _mul(out, p)
-        return out
+        return _expand(("pow", p, k))
     return ("pow", p, k)
 
 
@@ -721,11 +562,11 @@ def _lower(node: Node, signs: list, seen: dict) -> tuple:
     if op == "pow":
         k = node.value
         n, d = _lower(node.args[0], signs, seen)
-        if k < 0:
-            n, d, k = d, n, -k
         if k == 0:  # u^0 = d/d keeps the points where u is undefined
-            return d, d
-        return _pow(n, k), _pow(d, k)
+            return (d, d) if _can_vanish(d) else (_ONE_SUM, _ONE_SUM)
+        if k < 0:  # the power of 1/u
+            n, d = _divide(_ONE_SUM, _ONE_SUM, n, d)
+        return _pow(n, abs(k)), _pow(d, abs(k))
     (n1, d1), (n2, d2) = (_lower(c, signs, seen) for c in node.args)
     if op in ("add", "sub"):
         sgn = 1 if op == "add" else -1
@@ -735,8 +576,107 @@ def _lower(node: Node, signs: list, seen: dict) -> tuple:
     if op == "mul":
         return _mul(n1, n2), _mul(d1, d2)
     if op == "div":
-        return _mul(n1, d2), _mul(d1, n2)
+        return _divide(n1, d1, n2, d2)
     raise LoweringError(f"unknown node {op!r}")
+
+
+def _divide(n1, d1, n2, d2) -> tuple:
+    """(n1/d1) / (n2/d2); d2 stays a factor of both sides if it can vanish."""
+    num, den = _mul(n1, d2), _mul(d1, n2)
+    return (_mul(num, d2), _mul(den, d2)) if _can_vanish(d2) else (num, den)
+
+
+def _can_vanish(d) -> bool:
+    """False only for one monomial c * exp(form), free of x, a and sign."""
+    return not (isinstance(d, dict) and len(d) == 1 and next(iter(d))[1:] == (0, 0, ()))
+
+
+# ---------------------------------------------------------------------------
+# constants and proof inputs: the quotient at the origin, or multiplied out
+
+
+def to_const(node: Node) -> ConstExpr:
+    """Variable-free expression -> rational function of e: the lowered
+    quotient at the origin, both sums shifted to exponents >= 0. exp(k)
+    survives only for integer k (as e^k), and a divisor that is zero leaves
+    den = {}, which ConstExpr reports when the value is used."""
+    names = variables(node)
+    if names:
+        raise LoweringError(f"variable {min(names)!r} in a constant expression")
+    num, den = exp_sum_at(lower_grid(node), Fraction(0), Fraction(0))
+    for s in (*num, *den):
+        if s.denominator != 1:
+            raise LoweringError(f"exp({s}) is not a rational power of e")
+    low = min((0, *num, *den))
+    return ConstExpr(*({s - low: c for s, c in p.items()} for p in (num, den)))
+
+
+_RawTerms = list  # [(alpha, p, q)] for alpha * x^p * exp(-q*x), q rational
+
+
+def lower_to_quotient(node: Node) -> tuple[_RawTerms, _RawTerms]:
+    """Lower an x-only tree to (numerator terms, denominator terms)."""
+    signs: list = []
+    quotient = _lower(node, signs, {})
+    if signs:
+        raise LoweringError("sign() is not supported in proof inputs")
+    num, den = (_raw_terms(_expand(p)) for p in quotient)
+    if not den:
+        raise LoweringError("division by exact zero")
+    return num, den
+
+
+def _expand(p) -> dict:
+    """A kept product, power or sum multiplied out into one sparse sum."""
+    if isinstance(p, dict):
+        return p
+    if p[0] == "pow":
+        base, out = _expand(p[1]), _ONE_SUM
+        for _ in range(p[2]):
+            out = _product(out, base)
+        return out
+    u, v = _expand(p[1]), _expand(p[2])
+    return _product(u, v) if p[0] == "mul" else _sum_add(u, v, 1)
+
+
+def _raw_terms(p: dict) -> _RawTerms:
+    out = []
+    for ((l0, lx, la, lxa), i, j, _), c in p.items():
+        if j:
+            raise LoweringError("only the variable x can appear in a proof input")
+        if la or lxa:
+            raise LoweringError("variable a is not allowed in a proof input")
+        if l0:
+            raise LoweringError(
+                "the constant e, or an exp argument with a constant offset, has no "
+                "exact mixed-exponential form; write exp(c*x) factors instead")
+        out.append((c, i, -lx))
+    return out
+
+
+def to_exp_rational(node: Node) -> tuple[ExpRational, int]:
+    """Lower to an exact quotient of canonical MEPs.
+
+    Returns (quotient, stretch v). Positive exponentials are cleared per
+    side by a positive-factor multiplication, which preserves the sign of
+    each side but not its value; the quotient is therefore sign-faithful,
+    which is all the prover needs. When fractional exponential powers
+    occur, both sides get the substitution x = v*z with one shared v and
+    the result lives in the variable z; callers must shrink intervals by
+    v. v = 1 means the quotient is literally equal to the input.
+    """
+    v, (num, den) = _stretch(lower_to_quotient(node))
+    return ExpRational(normalize(num), normalize(den)), v
+
+
+# ---------------------------------------------------------------------------
+# the two-parameter grid: integers at each point
+#
+# At a rational point every exp(form) collapses to e^s with rational s,
+# so each side becomes an exact finite sum {s: c} (arith.ExpSum). Each
+# group of monomials sharing one form is stored on integers over one
+# denominator L, so its coefficient at x = px/qx, a = pa/qa is a single
+# integer sum over L * qx^I * qa^J.
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from expocert.errors import (
     DivisionByPossiblyZeroError,
     PreconditionError,
 )
+from expocert.expr import Node, parse_expression, to_const
 
 # interior reference values, correct to far beyond any eps used below
 E_REF = sum(F(1, factorial(k)) for k in range(40))
@@ -202,30 +203,29 @@ def test_const_expr_rational_degenerate():
     assert (c - c).sign() == 0
 
 
+def _const(text):
+    return to_const(parse_expression(text))
+
+
 def test_const_expr_e_arithmetic():
-    e = ConstExpr.e()
-    one = ConstExpr.rational(1)
     # (e+1)(e-1) = e^2 - 1, recognized symbolically
-    assert ((e + one) * (e - one) - (e * e - one)).is_zero()
-    assert (e - ConstExpr.rational(2)).sign() == 1
-    assert (e - ConstExpr.rational(3)).sign() == -1
-    assert (e**2 - e * e).is_zero()
-    num, den = (e / (e + one)).e_fraction()
+    assert _const("(e + 1)*(e - 1) - (e*e - 1)").is_zero()
+    assert _const("e - 2").sign() == 1
+    assert _const("e - 3").sign() == -1
+    assert _const("e^2 - e*e").is_zero()
+    num, den = _const("e/(e + 1)").e_fraction()
     assert num.text("e") == "e"
     assert den.text("e") == "1 + e"
 
 
 def test_const_expr_division_by_symbolic_zero():
-    e = ConstExpr.e()
-    bad = e / (e - e)
+    bad = _const("e/(e - e)")
     with pytest.raises(DivisionByPossiblyZeroError):
         bad.enclosure(F(1, 100))
 
 
 def test_application_constants_decimals():
-    e = ConstExpr.e()
-    one = ConstExpr.rational(1)
-    A = (e * e - 3 * e + one) / (e * e - 2 * e + one)
+    A = _const("(e*e - 3*e + 1)/(e*e - 2*e + 1)")
     box = A.enclosure(F(1, 10**9))
     assert decimal_str(box.midpoint, 6) == "0.079326"
     twelve = ConstExpr.rational(F(1, 12))
@@ -235,8 +235,7 @@ def test_application_constants_decimals():
 
 
 def test_const_expr_text_round_shape():
-    e = ConstExpr.e()
-    A = (e * e - 3 * e + ConstExpr.rational(1)) / (e * e - 2 * e + ConstExpr.rational(1))
+    A = _const("(e*e - 3*e + 1)/(e*e - 2*e + 1)")
     assert A.text() == "(1 - 3*e + e^2) / (1 - 2*e + e^2)"
     assert ConstExpr.rational(F(1, 12)).text() == "1/12"
 
@@ -318,14 +317,12 @@ def test_decimal_str():
 
 def test_const_expr_against_sympy():
     # random constants from rationals and e under + - * / and integer
-    # powers, built twice: as ConstExpr, and in sympy with a symbol t for e.
-    # Since e is transcendental, the constant is zero exactly when sympy
-    # cancels the rational function of t to 0.
+    # powers, built twice: as expression trees for to_const, and in sympy
+    # with a symbol t for e. Since e is transcendental, the constant is zero
+    # exactly when sympy cancels the rational function of t to 0.
     pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
-    from hypothesis import assume, given, settings, strategies as st
-
-    from expocert.expr import parse_expression, to_const
+    from hypothesis import assume, example, given, settings, strategies as st
 
     t = sympy.Symbol("t")
     leaf = st.one_of(
@@ -342,33 +339,38 @@ def test_const_expr_against_sympy():
         )
 
     def build(tree):
-        """(ConstExpr, sympy expression in t, whether a divisor is exactly 0)"""
+        """(Node, sympy expression in t, whether a divisor is exactly 0)"""
         if tree[0] == "rat":
-            return ConstExpr.rational(tree[1]), sympy.Rational(str(tree[1])), False
+            return Node("rat", value=tree[1]), sympy.Rational(str(tree[1])), False
         if tree[0] == "e":
-            return ConstExpr.e(), t, False
+            return Node("e"), t, False
         if tree[0] == "pow":
-            c, s, bad = build(tree[1])
+            n, s, bad = build(tree[1])
             bad = bad or (tree[2] < 0 and sympy.cancel(s) == 0)
-            return c ** tree[2], s ** tree[2], bad
+            return Node("pow", (n,), value=tree[2]), s ** tree[2], bad
         (a, sa, bad_a), (b, sb, bad_b) = build(tree[1]), build(tree[2])
+        node = Node(tree[0], (a, b))
         bad = bad_a or bad_b
         if tree[0] == "add":
-            return a + b, sa + sb, bad
+            return node, sa + sb, bad
         if tree[0] == "sub":
-            return a - b, sa - sb, bad
+            return node, sa - sb, bad
         if tree[0] == "mul":
-            return a * b, sa * sb, bad
+            return node, sa * sb, bad
         bad = bad or sympy.cancel(sb) == 0
-        return a / b, (sa / sb if not bad else sympy.Integer(0)), bad
+        return node, (sa / sb if not bad else sympy.Integer(0)), bad
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         tree=st.recursive(leaf, extend, max_leaves=6),
         eps=st.sampled_from([F(1, 10), F(1, 10**12), F(1, 10**30)]),
     )
+    # the inner quotient is undefined, so the whole constant is too
+    @example(tree=("div", ("rat", F(1)), ("div", ("rat", F(1)), ("sub", ("e",), ("e",)))),
+             eps=F(1, 10))
     def check(tree, eps):
-        c, s, divides_by_zero = build(tree)
+        node, s, divides_by_zero = build(tree)
+        c = to_const(node)
         if divides_by_zero:
             for use in (c.is_zero, c.sign, lambda: c.enclosure(eps)):
                 with pytest.raises(DivisionByPossiblyZeroError):
