@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable
 
 from .errors import (
@@ -193,29 +194,36 @@ _ONE: ExpSum = {Fraction(0): Fraction(1)}
 SIGN_BITS_CAP = 2048
 
 
+def _put(out: dict, key, c: Fraction) -> None:
+    """Add c at key in a sparse sum, dropping the key when its coefficient
+    comes to zero: the one place any sparse sum is merged."""
+    prev = out.get(key)
+    if prev is not None:
+        c = prev + c
+    if c:
+        out[key] = c
+    else:
+        out.pop(key, None)
+
+
 def _sum_add(a: dict, b: dict, sgn: int) -> dict:
     """a + sgn*b on sparse sums; only the keys are merged, so any sparse
-    coefficient dict (e^s sums, linear forms) can use it."""
+    coefficient dict (e^s sums, the lowering's monomial sums, linear
+    forms) can use it."""
     out = dict(a)
     for k, c in b.items():
-        nc = out.get(k, Fraction(0)) + sgn * c
-        if nc == 0:
-            out.pop(k, None)
-        else:
-            out[k] = nc
+        _put(out, k, sgn * c)
     return out
 
 
-def _sum_mul(a: ExpSum, b: ExpSum) -> ExpSum:
-    out: ExpSum = {}
+def _sum_mul(a: dict, b: dict, join=add) -> dict:
+    """a * b on sparse sums; join(ka, kb) is the key of a product of two
+    terms: + for e^s sums, expr._mono_mul for the lowering's monomials and
+    expr._degrees for exp-argument forms."""
+    out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            k = ka + kb
-            nc = out.get(k, Fraction(0)) + ca * cb
-            if nc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nc
+            _put(out, join(ka, kb), ca * cb)
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .arith import ConstExpr, ExpSum, _sum_add, _sum_mul, _sum_pow
+from .arith import ConstExpr, ExpSum, _put, _sum_add, _sum_mul, _sum_pow
 from .errors import (
     LoweringError,
     NonlinearExpArgumentError,
@@ -310,67 +310,41 @@ def _linear_form(node: Node, pos: int) -> dict[tuple[int, int], Fraction]:
 
     Keys are (degree in x, degree in a), each at most 1. Anything that
     cannot be brought to that shape with rational coefficients is a
-    parse-time nonlinearity error.
+    parse-time nonlinearity error at pos. A product is multiplied out
+    before its degrees are checked: a product of two nonzero forms is
+    never zero, so that rejects what a check of each pair of terms would.
     """
+    op, args = node.op, node.args
+    if op == "rat":
+        return {(0, 0): node.value} if node.value else {}
+    if op == "var":
+        return {(1, 0) if node.value == "x" else (0, 1): Fraction(1)}
+    if op == "neg":
+        return _sum_add({}, _linear_form(args[0], pos), -1)
+    if op in ("add", "sub", "mul", "div"):
+        u, v = _linear_form(args[0], pos), _linear_form(args[1], pos)
+        if op in ("add", "sub"):
+            return _sum_add(u, v, 1 if op == "add" else -1)
+        if op == "mul":
+            out = _sum_mul(u, v, _degrees)
+            if max(map(max, out), default=0) <= 1:  # no x^2 or a^2
+                return out
+        elif list(v) == [(0, 0)]:  # division by a nonzero constant
+            return _sum_mul(u, {(0, 0): 1 / v[(0, 0)]}, _degrees)
+    elif op == "pow":
+        k = node.value
+        inner = _linear_form(args[0], pos)
+        if k == 0:
+            return {(0, 0): Fraction(1)}
+        # the form itself, or a power of a constant, a nonzero one if k < 0
+        if k == 1 or (set(inner) <= {(0, 0)} and (k > 0 or inner)):
+            return {key: c**k for key, c in inner.items()}
+    raise NonlinearExpArgumentError("exp argument must be linear in the variables", pos)
 
-    def fail() -> NonlinearExpArgumentError:
-        return NonlinearExpArgumentError(
-            "exp argument must be linear in the variables", pos
-        )
 
-    def walk(n: Node) -> dict[tuple[int, int], Fraction]:
-        if n.op == "rat":
-            return {(0, 0): n.value} if n.value else {}
-        if n.op == "var":
-            key = (1, 0) if n.value == "x" else (0, 1)
-            return {key: Fraction(1)}
-        if n.op in ("e", "exp", "sign"):
-            raise fail()
-        if n.op == "neg":
-            return {k: -v for k, v in walk(n.args[0]).items()}
-        if n.op == "add" or n.op == "sub":
-            sgn = 1 if n.op == "add" else -1
-            return _sum_add(walk(n.args[0]), walk(n.args[1]), sgn)
-        if n.op == "mul":
-            a = walk(n.args[0])
-            b = walk(n.args[1])
-            out: dict[tuple[int, int], Fraction] = {}
-            for (i1, j1), v1 in a.items():
-                for (i2, j2), v2 in b.items():
-                    i, j = i1 + i2, j1 + j2
-                    if i > 1 or j > 1:
-                        raise fail()
-                    nv = out.get((i, j), Fraction(0)) + v1 * v2
-                    if nv == 0:
-                        out.pop((i, j), None)
-                    else:
-                        out[(i, j)] = nv
-            return out
-        if n.op == "div":
-            a = walk(n.args[0])
-            b = walk(n.args[1])
-            if set(b) - {(0, 0)}:
-                raise fail()
-            c = b.get((0, 0), Fraction(0))
-            if c == 0:
-                raise fail()
-            return {k: v / c for k, v in a.items()}
-        if n.op == "pow":
-            k = n.value
-            inner = walk(n.args[0])
-            if k == 0:
-                return {(0, 0): Fraction(1)}
-            if set(inner) - {(0, 0)}:
-                if k == 1:
-                    return inner
-                raise fail()
-            c = inner.get((0, 0), Fraction(0))
-            if k < 0 and c == 0:
-                raise fail()
-            return {(0, 0): c**k} if c**k != 0 else {}
-        raise fail()
-
-    return walk(node)
+def _degrees(k1: tuple[int, int], k2: tuple[int, int]) -> tuple[int, int]:
+    """The key of a product of two terms of a linear form."""
+    return k1[0] + k2[0], k1[1] + k2[1]
 
 
 def variables(node: Node) -> frozenset[str]:
@@ -456,10 +430,13 @@ def _prec(n: Node) -> int:
 # unexpanded: expanding (1 + x + exp(x))^40 costs far more than raising
 # its value at each grid point. A sum is a dict {(form, i, j, signs): c}
 # for the monomial c * x^i * a^j * prod sign_k^e_k * exp(form), where form
-# = (l0, lx, la, lxa) spans the exp arguments 1, x, a, x*a that
-# _linear_form admits and signs holds pairs (k, e) into a table of the
-# distinct sign(...) arguments, e = 1 or 2 (sign^3 = sign). Products by a
-# single monomial expand; products of two longer sums do not.
+# = (l0, lx, la, lxa) is the exp argument's _linear_form on 1, x, a, x*a
+# and signs holds pairs (k, e) into a table of the distinct sign(...)
+# arguments, e = 1 or 2 (sign^3 = sign). Sums add and multiply by arith's
+# _sum_add and _sum_mul, with _mono_mul as the product of two monomials.
+# Products by a single monomial expand; products of two longer sums do not.
+# The parser checks each form but keeps only the tree, which is all that a
+# tree built by hand has, so _lower calls _linear_form again.
 #
 # A quotient is undefined wherever one of its divisors is zero or itself
 # undefined. So a division keeps the divisor's own den as a factor of both
@@ -490,30 +467,10 @@ def _mul(p, q):
     if q == _ONE_SUM:
         return p
     if isinstance(p, dict) and isinstance(q, dict) and min(len(p), len(q)) <= 1:
-        return _product(p, q)
+        return _sum_mul(p, q, _mono_mul)
     if p == {} or q == {}:
         return {}
     return ("mul", p, q)
-
-
-def _product(p: dict, q: dict) -> dict:
-    """Two sparse sums multiplied out."""
-    out: dict = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            _put(out, _mono_mul(m1, m2), c1 * c2)
-    return out
-
-
-def _put(out: dict, key, c: Fraction) -> None:
-    """Add a nonzero c at key, dropping the key if the sum cancels."""
-    prev = out.setdefault(key, c)
-    if prev is not c:
-        nc = prev + c
-        if nc:
-            out[key] = nc
-        else:
-            del out[key]
 
 
 def _add(p, q, sgn: int):
@@ -606,7 +563,7 @@ def to_const(node: Node) -> ConstExpr:
     num, den = exp_sum_at(lower_grid(node), Fraction(0), Fraction(0))
     for s in (*num, *den):
         if s.denominator != 1:
-            raise LoweringError(f"exp({s}) is not a rational power of e")
+            raise LoweringError(f"exp({s}) is not an integer power of e")
     low = min((0, *num, *den))
     return ConstExpr(*({s - low: c for s, c in p.items()} for p in (num, den)))
 
@@ -633,10 +590,10 @@ def _expand(p) -> dict:
     if p[0] == "pow":
         base, out = _expand(p[1]), _ONE_SUM
         for _ in range(p[2]):
-            out = _product(out, base)
+            out = _sum_mul(out, base, _mono_mul)
         return out
     u, v = _expand(p[1]), _expand(p[2])
-    return _product(u, v) if p[0] == "mul" else _sum_add(u, v, 1)
+    return _sum_mul(u, v, _mono_mul) if p[0] == "mul" else _sum_add(u, v, 1)
 
 
 def _raw_terms(p: dict) -> _RawTerms:

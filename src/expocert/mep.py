@@ -34,7 +34,7 @@ from .arith import (
     ExpSum,
     RationalInterval,
     _common_denominator,
-    _sum_add,
+    _put,
     exp_sum_sign,
     quotient_enclosure,
 )
@@ -104,11 +104,8 @@ class Mep:
                 raise PreconditionError(
                     "canonical Mep needs q >= 0; use normalize() first"
                 )
-            key = (t.q, t.p)
-            merged[key] = merged.get(key, Fraction(0)) + t.alpha
-        cleaned = [
-            MepTerm(a, p, q) for (q, p), a in sorted(merged.items()) if a != 0
-        ]
+            _put(merged, (t.q, t.p), t.alpha)
+        cleaned = [MepTerm(a, p, q) for (q, p), a in sorted(merged.items())]
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
@@ -250,7 +247,7 @@ def _value_sum(f: Mep, x: Fraction) -> ExpSum:
     multiples of e^s."""
     out: ExpSum = {}
     for q, c in f.group_by_q():
-        out = _sum_add(out, {-q * x: c.eval(x)}, 1)
+        _put(out, -q * x, c.eval(x))
     return out
 
 

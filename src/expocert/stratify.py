@@ -36,6 +36,7 @@ from typing import Optional, Sequence, Union
 from .arith import (
     ConstExpr,
     RationalInterval,
+    _put,
     _sum_add,
     _sum_mul,
     _sum_reciprocal,
@@ -243,15 +244,13 @@ class ParamExpFamily:
         for t in terms:
             if not isinstance(t, ParamTerm):
                 t = ParamTerm(*t)
-            key = (t.p, t.r, t.u, t.v)
-            merged[key] = merged.get(key, Fraction(0)) + t.c
+            _put(merged, (t.p, t.r, t.u, t.v), t.c)
         object.__setattr__(
             self,
             "terms",
             tuple(
                 ParamTerm(c, p, r, u, v)
                 for (p, r, u, v), c in sorted(merged.items())
-                if c != 0
             ),
         )
 

@@ -12,6 +12,7 @@ from expocert.arith import (
     RationalInterval,
     _common_denominator,
     _mantissa_pow,
+    _put,
     _sum_add,
     _sum_mul,
     _sum_reciprocal,
@@ -245,6 +246,13 @@ def test_lau_helpers():
     assert _sum_add(a, {F(1): F(-2)}, 1) == {}  # cancellation drops the key
     assert _sum_add(a, a, -1) == {}
     assert _sum_add(a, {F(0): F(3)}, -1) == {F(1): F(2), F(0): F(-3)}
+    # _put adds by value: the very object stored at a key counts twice
+    c = F(2, 3)
+    out = {F(1): c}
+    _put(out, F(1), c)
+    assert out == {F(1): F(4, 3)}
+    _put(out, F(1), F(-4, 3))  # the opposite value drops the key
+    assert out == {}
     # (e^s + 1)(e^s - 1) = e^(2s) - 1
     s = F(1, 3)
     p = {s: F(1), F(0): F(1)}
