@@ -196,14 +196,20 @@ SIGN_BITS_CAP = 2048
 
 def _put(out: dict, key, c: Fraction) -> None:
     """Add c at key in a sparse sum, dropping the key when its coefficient
-    comes to zero: the one place any sparse sum is merged."""
-    prev = out.get(key)
-    if prev is not None:
-        c = prev + c
+    comes to zero: the one place any sparse sum is merged. A new key is
+    hashed once; whether it was new is read off len(out), not off the
+    identity of the stored value."""
+    n = len(out)
+    prev = out.setdefault(key, c)
+    if len(out) > n:
+        if not c:
+            del out[key]
+        return
+    c = prev + c
     if c:
         out[key] = c
     else:
-        out.pop(key, None)
+        del out[key]
 
 
 def _sum_add(a: dict, b: dict, sgn: int) -> dict:

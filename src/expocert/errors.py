@@ -7,6 +7,8 @@ types, malformed construction).
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class ExpocertError(Exception):
     """Base class for all library-specific errors."""
@@ -40,18 +42,36 @@ class SearchExhaustedError(ExpocertError):
     """The uniform degree search reached max_l without a valid bound.
 
     Carries diagnostics: the last level tried and the interior root count
-    of the final bounding polynomial (when one existed).
+    of the final bounding polynomial (when one existed). The count may be
+    passed as a function of no arguments; it is then called once, when
+    ``last_root_count`` or the message is first read, so a caller that
+    only catches the error never pays for it.
     """
 
-    def __init__(self, max_l: int, last_root_count: int | None, detail: str = ""):
+    def __init__(
+        self,
+        max_l: int,
+        last_root_count: int | None | Callable[[], int],
+        detail: str = "",
+    ):
+        super().__init__()
         self.max_l = max_l
-        self.last_root_count = last_root_count
-        msg = f"no valid bound up to l = {max_l}"
-        if last_root_count is not None:
-            msg += f" (last P had {last_root_count} interior roots)"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        self.detail = detail
+        self._count = last_root_count
+
+    @property
+    def last_root_count(self) -> int | None:
+        if callable(self._count):
+            self._count = self._count()
+        return self._count
+
+    def __str__(self) -> str:
+        msg = f"no valid bound up to l = {self.max_l}"
+        if self.last_root_count is not None:
+            msg += f" (last P had {self.last_root_count} interior roots)"
+        if self.detail:
+            msg += f": {self.detail}"
+        return msg
 
 
 class MalformedCertificateError(ExpocertError):

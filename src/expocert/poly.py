@@ -8,12 +8,16 @@ module, so every sign decision is exact.
 Deciding signs works on integers. A polynomial is first scaled by a
 positive rational to its primitive integer form; its value at ``n/d`` is
 taken homogeneously as ``d**deg * P(n/d)``, which has the sign of
-``P(n/d)``. ``sample_refutes`` evaluates a polynomial at a few fixed
-rationals of an interval and reports a nonpositive interior value (or a
-negative endpoint value), which settles "not positive" without any
-remainder sequence. Otherwise root counting goes through a Sturm chain of
-the squarefree part, which SturmChain finds without a separate gcd when
-x^k is P's only repeated factor. The gcd and the Sturm chain are both
+``P(n/d)``. ``sample_refutes``, ``squarefree_part`` and ``SturmChain``
+also take an integer list that stands for a positive multiple of a
+polynomial, as the prover holds its bounds. ``sample_refutes`` evaluates a
+polynomial at a few fixed rationals of an interval and reports a
+nonpositive interior value (or a negative endpoint value), which settles
+"not positive" without any remainder sequence. Otherwise root counting
+goes through a Sturm chain of the squarefree part, which SturmChain finds
+without a separate gcd when x^k is P's only repeated factor. It stores
+only its members' integer lists; its ``poly`` and ``chain`` are built
+from them each time they are read. The gcd and the Sturm chain are both
 primitive pseudo-remainder sequences: each remainder is computed on
 integer coefficient lists after multiplying by a positive power of the
 divisor's leading coefficient, then reduced to its primitive part. The
@@ -175,9 +179,12 @@ class Polynomial:
         coefficients; 0 for the zero polynomial."""
         if self.is_zero:
             return Fraction(0)
+        # lists, not generators: a starred generator grows its argument
+        # tuple by resizing, so that tuple never comes from the free list
+        # of the length it is freed into, and those free lists only fill
         return Fraction(
-            gcd(*(c.numerator for c in self.coeffs)),
-            lcm(*(c.denominator for c in self.coeffs)),
+            gcd(*[c.numerator for c in self.coeffs]),
+            lcm(*[c.denominator for c in self.coeffs]),
         )
 
     # -- hashing / comparison / display ----------------------------------
@@ -325,16 +332,22 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(_gcd(_integer_coeffs(p), _integer_coeffs(q)))
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """P / gcd(P, P'), made primitive.
+def _ints_of(p: Polynomial | list[int]) -> list[int]:
+    """The primitive integer list of a Polynomial, or of an integer list
+    (no trailing zeros) that stands for a positive multiple of one."""
+    return _integer_coeffs(p) if isinstance(p, Polynomial) else _primitive(p)
+
+
+def squarefree_part(p: Polynomial | list[int]) -> Polynomial:
+    """P / gcd(P, P'), made primitive, for a Polynomial or an integer list.
 
     Same distinct real roots as P, each simple; the sign of the leading
     coefficient follows P's.
     """
-    if p.is_zero:
+    cs = _ints_of(p)
+    if not cs:
         raise ZeroPolynomialError("squarefree part of the zero polynomial")
-    cs = _integer_coeffs(p)
-    g = _gcd(cs, _integer_coeffs(p.derivative()))
+    g = _gcd(cs, _primitive([i * c for i, c in enumerate(cs)][1:]))
     # cs = g * h with h integer and primitive (Gauss's lemma)
     return Polynomial(cs if len(g) == 1 else _exact_quotient(cs, g))
 
@@ -342,32 +355,40 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 class SturmChain:
     """Canonical Sturm sequence of the squarefree part of a nonzero polynomial.
 
-    Sign-variation counts V(t) skip zero entries; for a < b, V(a) - V(b)
-    is the number of distinct roots in the half-open interval (a, b]. The
-    head ``poly`` is P made primitive with a power x^k cut to x (a Maclaurin
-    bound P often has such a factor and no other repeated one). When that
-    head's chain ends in a nonzero constant the head is squarefree and the
-    chain is kept; otherwise it is rebuilt from squarefree_part(P). The
-    members after the head are the head's derivative, then the negated
-    remainders, each reduced to its primitive part, which only rescales by
-    positive rationals and so changes no signs. They are computed and
-    evaluated as integer lists, cached in ``_ints``; ``chain`` holds the
-    same members as polynomials.
+    Takes a Polynomial, or an integer list that stands for a positive
+    multiple of one. Sign-variation counts V(t) skip zero entries; for
+    a < b, V(a) - V(b) is the number of distinct roots in the half-open
+    interval (a, b]. The head is P made primitive with a power x^k cut to
+    x (a Maclaurin bound P often has such a factor and no other repeated
+    one). When that head's chain ends in a nonzero constant the head is
+    squarefree and the chain is kept; otherwise it is rebuilt from the
+    squarefree part of P. The members after the head are the head's
+    derivative, then the negated remainders, each reduced to its primitive
+    part, which only rescales by positive rationals and so changes no
+    signs. Only these integer lists are stored, in ``_ints``; ``poly`` (the
+    head) and ``chain`` (every member) are the same lists as polynomials,
+    built each time they are read.
     """
 
-    __slots__ = ("poly", "chain", "_ints")
+    __slots__ = ("_ints",)
 
-    def __init__(self, p: Polynomial):
-        if p.is_zero:
+    def __init__(self, p: Polynomial | list[int]):
+        cs = _ints_of(p)
+        if not cs:
             raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-        cs = _integer_coeffs(p)
         k = next(i for i, c in enumerate(cs) if c)
         ints = _sturm_ints(cs[max(k - 1, 0):])
         if len(ints[-1]) > 1:  # ends in gcd(head, head'): a repeated factor
-            ints = _sturm_ints(_integer_coeffs(squarefree_part(p)))
-        self.poly = Polynomial(ints[0])
-        self.chain = (self.poly, *(Polynomial(m) for m in ints[1:]))
+            ints = _sturm_ints(_integer_coeffs(squarefree_part(cs)))
         self._ints = ints
+
+    @property
+    def poly(self) -> Polynomial:
+        return Polynomial(self._ints[0])
+
+    @property
+    def chain(self) -> tuple[Polynomial, ...]:
+        return tuple(Polynomial(m) for m in self._ints)
 
     def variations_at(self, t) -> int:
         t = _as_fraction(t)
@@ -410,14 +431,17 @@ def count_roots_open(p: Polynomial, a, b) -> int:
 SAMPLE_PARTS = 17
 
 
-def sample_refutes(p: Polynomial, a, b) -> bool:
+def sample_refutes(p: Polynomial | list[int], a, b) -> bool:
     """True when exact values show that p > 0 fails somewhere on (a, b).
 
-    p is evaluated at SAMPLE_PARTS - 1 equally spaced interior rationals
-    and at both endpoints: a value <= 0 inside, or < 0 at an endpoint
-    (p is continuous), refutes positivity. False proves nothing.
+    p is a Polynomial, or an integer list that stands for a positive
+    multiple of one. It is evaluated at SAMPLE_PARTS - 1 equally spaced
+    interior rationals and at both endpoints: a value <= 0 inside, or < 0
+    at an endpoint (p is continuous), refutes positivity. False proves
+    nothing.
     """
-    cs = _integer_coeffs(p)
+    # only signs are read, so an integer list serves as given, without a gcd
+    cs = _integer_coeffs(p) if isinstance(p, Polynomial) else p
     a, b = _as_fraction(a), _as_fraction(b)
     if _value(cs, a) < 0 or _value(cs, b) < 0:
         return True

@@ -14,22 +14,29 @@ The search over Taylor orders is deliberately dumb: one shared depth l
 for every bounded unit, deepened until the Sturm test passes or the depth
 budget runs out. Going from depth l - 1 to l adds only the next two Taylor
 terms of each unit, so each depth extends the last P rather than
-rebuilding it; the verifier still rebuilds P from scratch. Most depths
-fail, so each P first meets an exact sample test (`sample_refutes`): a
-nonpositive value at one of a few fixed interior rationals, or a negative
-endpoint value, rejects the depth without a Sturm chain. Such a P would
-fail the Sturm test too, so the first passing depth and its certificate
-do not change.
-The root count that an exhausted search reports is taken once, from its
-last P. A greedy per-unit descent (`minimize_assignment`) can then shrink
-the orders, which tends to shrink deg P as well.
+rebuilding it. P is held as integers over one positive denominator, the
+way FLINT's fmpq_poly holds a rational polynomial (`_IntegerBound`): the
+sample test, the Sturm chain, the endpoint test and the witness value all
+read that integer list, and a Polynomial of Fractions is built only for
+the certificate. The verifier still rebuilds P from scratch in Fractions.
+Most depths fail, so each P first meets an exact sample test
+(`sample_refutes`): a nonpositive value at one of a few fixed interior
+rationals, or a negative endpoint value, rejects the depth without a
+Sturm chain. Such a P would fail the Sturm test too, so the first passing
+depth and its certificate do not change.
+The root count that an exhausted search reports comes from its last P,
+and is taken on demand: only when the error's count or message is read,
+which a search that ends in a disproof never does. A greedy per-unit
+descent (`minimize_assignment`) can then shrink the orders, which tends
+to shrink deg P as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from math import factorial, lcm, perm
+from typing import Optional, Sequence, Union
 
 from .errors import (
     BudgetExceededError,
@@ -40,14 +47,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .mep import ExpRational, Mep, eval_enclosure, sign_at
-from .poly import (
-    Polynomial,
-    SturmChain,
-    count_roots_open,
-    is_positive_on,
-    sample_refutes,
-)
-from .taylor import maclaurin, maclaurin_coefficient, select_order
+from .poly import Polynomial, SturmChain, _value, is_positive_on, sample_refutes
+from .taylor import maclaurin, select_order
 from .arith import RationalInterval
 
 DEFAULT_MAX_L = 20
@@ -212,9 +213,9 @@ def lower_bound_poly(
             raise PreconditionError(
                 f"theta {entry.theta} has the wrong parity for unit {unit.index}"
             )
-    return _move_bound(
-        passthrough, [(u, -1, e.theta) for u, e in zip(units, assignment)]
-    )
+    return _IntegerBound.of(passthrough, units).moved(
+        [e.theta for e in assignment]
+    ).polynomial()
 
 
 def upper_bound_poly(
@@ -251,29 +252,78 @@ def assignment_for_orders(
     return tuple(out)
 
 
-def _move_bound(
-    total: Polynomial, moves: Iterable[tuple[BoundUnit, int, int]]
-) -> Polynomial:
-    """Move P = passthrough + sum of unit.poly * T_theta(q x) to new orders.
+class _IntegerBound:
+    """P = passthrough + sum of unit.poly * T_theta(q x) at some orders, as
+    integers over one positive denominator.
 
-    `total` is P at the old orders; each move (unit, old, new) adds
-    unit.poly * (-q)^k/k! * x^k for k in (old, new], or subtracts those
-    terms for k in (new, old] when the order drops. An old order of -1
-    means that the unit contributes nothing yet, so moving every unit from
-    -1 builds P from the passthrough. All arithmetic is exact, so the
-    result equals a from-scratch build coefficient for coefficient.
+    ``ints`` lists P * scale * top! with no trailing zeros, where scale is
+    the lcm of every passthrough and unit coefficient denominator and top
+    is the highest order reached so far; ``thetas`` holds the orders, and
+    -1 means that a unit contributes nothing yet. ``moved`` returns the
+    bound at new orders and leaves this one as it is. A higher top
+    multiplies the list by top'!/top!; each order k that a unit gains adds
+    alpha.num * (scale/alpha.den) * (-q)^k * top!/k! at x^(p+k) for each of
+    its terms alpha*x^p, and each order it loses subtracts that. All of it
+    is exact, so P does not depend on the path of orders that reached it.
     """
-    out = list(total.coeffs)
-    for unit, old, new in moves:
-        sign = 1 if new > old else -1
-        lo, hi = min(old, new), max(old, new)
-        out += [Fraction(0)] * (len(unit.poly.coeffs) + hi - len(out))
-        for k in range(lo + 1, hi + 1):
-            c = sign * maclaurin_coefficient(k, unit.q)
-            for i, alpha in enumerate(unit.poly.coeffs):
-                if alpha:
-                    out[i + k] += alpha * c
-    return Polynomial(out)
+
+    __slots__ = ("units", "scale", "top", "thetas", "ints")
+
+    def __init__(self, units, scale: int, top: int, thetas, ints: list[int]):
+        self.units = units  # per unit: (q, [(p, alpha * scale), ...])
+        self.scale = scale
+        self.top = top
+        self.thetas = thetas
+        self.ints = ints
+
+    @classmethod
+    def of(
+        cls, passthrough: Polynomial, units: Sequence[BoundUnit]
+    ) -> "_IntegerBound":
+        """The passthrough alone: every unit at order -1."""
+        scale = lcm(*[c.denominator for c in passthrough.coeffs],
+                    *[c.denominator for u in units for c in u.poly.coeffs])
+        terms = [
+            (u.q, [(p, c.numerator * (scale // c.denominator))
+                   for p, c in enumerate(u.poly.coeffs) if c])
+            for u in units
+        ]
+        ints = [c.numerator * (scale // c.denominator) for c in passthrough.coeffs]
+        return cls(terms, scale, 0, (-1,) * len(units), ints)
+
+    def moved(self, thetas: Sequence[int]) -> "_IntegerBound":
+        top = max([self.top, *thetas])
+        if top > self.top:
+            up = perm(top, top - self.top)
+            ints = [c * up for c in self.ints]
+        else:
+            ints = list(self.ints)
+        for (q, terms), old, new in zip(self.units, self.thetas, thetas):
+            if old == new:
+                continue
+            sign = 1 if new > old else -1
+            lo, hi = min(old, new), max(old, new)
+            ints += [0] * (terms[-1][0] + hi + 1 - len(ints))
+            for k in range(lo + 1, hi + 1):
+                c = sign * (-q) ** k * perm(top, top - k)
+                for p, alpha in terms:
+                    ints[p + k] += alpha * c
+        while ints and not ints[-1]:
+            ints.pop()
+        return _IntegerBound(self.units, self.scale, top, tuple(thetas), ints)
+
+    @property
+    def den(self) -> int:
+        return self.scale * factorial(self.top)
+
+    def value(self, x: Fraction) -> Fraction:
+        """P(x), exactly, for a nonzero P."""
+        d = x.denominator ** (len(self.ints) - 1)
+        return Fraction(_value(self.ints, x), self.den * d)
+
+    def polynomial(self) -> Polynomial:
+        den = self.den
+        return Polynomial([Fraction(c, den) for c in self.ints])
 
 
 def _attempt(
@@ -281,33 +331,36 @@ def _attempt(
     interval: tuple[Fraction, Fraction],
     mode: str,
     assignment: tuple[AssignmentEntry, ...],
-    total: Polynomial,
+    bound: _IntegerBound,
 ) -> Optional[Certificate]:
     """Check the P of one assignment: samples, then the Sturm chain of P's
-    squarefree part (SturmChain takes P as it is).
+    squarefree part (SturmChain takes P's integer list as it is).
 
     The caller builds P, extending the P it checked last, and keeps a
     failing P for the diagnostics of an exhausted search. A P that
-    degenerates to the zero polynomial counts as a plain failure.
+    degenerates to the zero polynomial counts as a plain failure. The
+    rational P is built only for the certificate.
     """
     a, b = interval
-    if total.is_zero or sample_refutes(total, a, b):
+    ints = bound.ints
+    if not ints or sample_refutes(ints, a, b):
         return None
-    chain = SturmChain(total)
+    chain = SturmChain(ints)
     v_a = chain.variations_at(a)
     v_b = chain.variations_at(b)
-    adjust = 1 if total.eval(b) == 0 else 0
-    roots = v_a - v_b - adjust
+    adjust = 1 if _value(ints, b) == 0 else 0
+    if v_a - v_b - adjust != 0:
+        return None
     mid = (a + b) / 2
-    value = total.eval(mid)
-    if roots != 0 or value <= 0:
+    value = bound.value(mid)
+    if value <= 0:
         return None
     return Certificate(
         input=f"{f.text()} > 0",
         interval=interval,
         mode=mode,
         assignment=assignment,
-        poly=total,
+        poly=bound.polynomial(),
         v_a=v_a,
         v_b=v_b,
         endpoint_adjust=adjust,
@@ -325,7 +378,8 @@ def prove_positive(
     assignment whose P passes the Sturm test wins, which makes the result
     a deterministic function of the input. Each depth extends the last P
     by the next two Taylor terms of every unit. Exhaustion is a statement
-    about this search only, never a disproof.
+    about this search only, never a disproof; its root count is taken
+    from the last nonzero P only when it is read.
     """
     a, b = _check_interval(interval)
     if f.is_zero:
@@ -334,22 +388,23 @@ def prove_positive(
         raise PreconditionError("max_l must be >= 1")
     units, passthrough = bounding_units(f, interval, mode)
 
-    last: Optional[Polynomial] = None
-    total, thetas = passthrough, [-1] * len(units)
+    last: Optional[list[int]] = None
+    bound = _IntegerBound.of(passthrough, units)
     depths = [1] if not units else range(1, max_l + 1)
     for l in depths:
         assignment = uniform_assignment(units, l)
-        deeper = [e.theta for e in assignment]
-        total = _move_bound(total, zip(units, thetas, deeper))
-        thetas = deeper
-        cert = _attempt(f, (a, b), mode, assignment, total)
+        bound = bound.moved([e.theta for e in assignment])
+        cert = _attempt(f, (a, b), mode, assignment, bound)
         if cert is not None:
             return cert
-        if not total.is_zero:
-            last = total
+        if bound.ints:
+            last = bound.ints
     raise SearchExhaustedError(
         max_l=max_l if units else 0,
-        last_root_count=None if last is None else count_roots_open(last, a, b),
+        last_root_count=(
+            None if last is None
+            else lambda: SturmChain(last).roots_in_open(a, b)
+        ),
         detail="pure polynomial part is not positive" if not units else "",
     )
 
@@ -393,8 +448,8 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
     entries = list(seed.assignment)
     if len(entries) != len(units):
         raise PreconditionError("seed assignment does not match the input")
-    total = _move_bound(
-        passthrough, [(u, -1, e.theta) for u, e in zip(units, entries)]
+    bound = _IntegerBound.of(passthrough, units).moved(
+        [e.theta for e in entries]
     )
     best = seed
     changed = True
@@ -408,12 +463,12 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
                 )
                 candidate = entries.copy()
                 candidate[i] = trial
-                lower = _move_bound(total, [(unit, entries[i].theta, trial.theta)])
+                lower = bound.moved([e.theta for e in candidate])
                 cert = _attempt(f, (a, b), seed.mode, tuple(candidate), lower)
                 if cert is None:
                     break
                 entries[i] = trial
-                total = lower
+                bound = lower
                 best = cert
                 changed = True
     return best

@@ -49,14 +49,9 @@ def maclaurin(n: int, q: int = 1) -> TaylorBound:
         raise PreconditionError("order must be nonnegative")
     if q < 1:
         raise PreconditionError("scale must be a positive integer")
-    coeffs = [maclaurin_coefficient(k, q) for k in range(n + 1)]
+    coeffs = [Fraction((-q) ** k, factorial(k)) for k in range(n + 1)]
     side = "lower" if n % 2 == 1 else "upper"
     return TaylorBound(order=n, scale=q, poly=Polynomial(coeffs), side=side)
-
-
-def maclaurin_coefficient(k: int, q: int) -> Fraction:
-    """(-q)^k / k!, the coefficient of x^k in T_n(qx) for every n >= k."""
-    return Fraction((-q) ** k, factorial(k))
 
 
 def select_order(coeff_sign, l: int) -> int:

@@ -253,6 +253,8 @@ def test_lau_helpers():
     assert out == {F(1): F(4, 3)}
     _put(out, F(1), F(-4, 3))  # the opposite value drops the key
     assert out == {}
+    _put(out, F(2), F(0))  # a zero at a new key stores nothing
+    assert out == {}
     # (e^s + 1)(e^s - 1) = e^(2s) - 1
     s = F(1, 3)
     p = {s: F(1), F(0): F(1)}

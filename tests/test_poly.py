@@ -106,6 +106,10 @@ def test_sturm_simple_counts():
     # V(0) - V(1) counts (0, 1], which includes 1; the open count drops it
     assert chain.variations_at(F(0)) - chain.variations_at(F(1)) == 1
     assert chain.roots_in_open(F(0), F(1)) == 0
+    # an integer list stands for any positive multiple of p
+    assert SturmChain([-3, 0, 3]).chain == chain.chain == (p, P(0, 1), P(1))
+    with pytest.raises(ZeroPolynomialError):
+        SturmChain([])
 
 
 def test_sturm_oracle_random_products():

@@ -18,7 +18,7 @@ from expocert.errors import (
 )
 from expocert.mep import ExpRational, Mep, eval_enclosure
 from expocert import prover
-from expocert.poly import Polynomial, count_roots_open, sample_refutes
+from expocert.poly import Polynomial, SturmChain, count_roots_open, sample_refutes
 from expocert.prover import (
     GROUPED,
     PER_TERM,
@@ -334,8 +334,22 @@ def _reference_bound(units, passthrough, thetas):
 
 
 def _reference_attempt(f, interval, mode, units, passthrough, assignment):
+    """One assignment checked on its rational P, rebuilt from scratch."""
     total = _reference_bound(units, passthrough, [e.theta for e in assignment])
-    return prover._attempt(f, interval, mode, assignment, total)
+    a, b = interval
+    if total.is_zero or sample_refutes(total, a, b):
+        return None
+    chain = SturmChain(total)
+    v_a, v_b = chain.variations_at(a), chain.variations_at(b)
+    adjust = 1 if total(b) == 0 else 0
+    mid = (a + b) / 2
+    if v_a - v_b - adjust != 0 or total(mid) <= 0:
+        return None
+    return Certificate(
+        input=f"{f.text()} > 0", interval=interval, mode=mode,
+        assignment=assignment, poly=total, v_a=v_a, v_b=v_b,
+        endpoint_adjust=adjust, witness_x=mid, witness_value=total(mid),
+    )
 
 
 def _reference_prove(f, interval, max_l, mode):
@@ -397,14 +411,13 @@ def test_incremental_bound_matches_from_scratch_build():
         interval = (a, a + width)
         for mode in (PER_TERM, GROUPED):
             units, passthrough = bounding_units(f, interval, mode)
-            thetas, total = [-1] * len(units), passthrough
+            bound = prover._IntegerBound.of(passthrough, units)
             for _ in range(4):
-                new = data.draw(st.lists(
+                thetas = data.draw(st.lists(
                     st.integers(-1, 14), min_size=len(units), max_size=len(units)
                 ))
-                total = prover._move_bound(total, zip(units, thetas, new))
-                thetas = new
-                assert total == _reference_bound(units, passthrough, thetas)
+                bound = bound.moved(thetas)
+                assert bound.polynomial() == _reference_bound(units, passthrough, thetas)
             if f.is_zero:
                 continue
             want = _reference_prove(f, interval, 6, mode)
@@ -421,6 +434,83 @@ def test_incremental_bound_matches_from_scratch_build():
 
     check()
     assert proofs.count(PER_TERM) >= 10 and proofs.count(GROUPED) >= 10
+
+
+def test_integer_bound_matches_verifier_rebuild():
+    # per-term and grouped units with rational coefficients and rates q = 1..5,
+    # walked up to a random depth and then down the way the descent moves
+    # (one unit, one level at a time): at every stop the integer P over its
+    # denominator is the verifier's from-scratch rational P, its exact
+    # value is Polynomial.eval's, and a Sturm chain of the integer list
+    # counts like one of the rational P
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    term = st.tuples(rationals, st.integers(0, 3), st.integers(1, 5))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        c=st.lists(rationals, max_size=3),
+        raw=st.lists(term, min_size=1, max_size=5),
+        a=st.sampled_from([F(0), F(1, 3), F(2)]),
+        width=st.sampled_from([F(1, 2), F(1), F(7, 3)]),
+        data=st.data(),
+    )
+    def check(c, raw, a, width, data):
+        f = Mep([*((v, p, 0) for p, v in enumerate(c)), *raw])
+        interval = (a, a + width)
+        x = data.draw(st.fractions(min_value=-1, max_value=4, max_denominator=9))
+        for mode in (PER_TERM, GROUPED):
+            units, passthrough = bounding_units(f, interval, mode)
+            ls = data.draw(st.lists(
+                st.integers(1, 9), min_size=len(units), max_size=len(units)
+            ))
+            bound = prover._IntegerBound.of(passthrough, units)
+            walk = [[select_order(u.sign, l) for u, l in zip(units, ls)]]
+            while any(l > 1 for l in ls):
+                i = data.draw(st.sampled_from([i for i, l in enumerate(ls) if l > 1]))
+                ls[i] -= 1
+                walk.append(walk[-1].copy())
+                walk[-1][i] = select_order(units[i].sign, ls[i])
+            for thetas in walk:
+                bound = bound.moved(thetas)
+                want = _reference_bound(units, passthrough, thetas)
+                den = bound.den
+                assert den > 0
+                assert [F(v, den) for v in bound.ints] == list(want.coeffs)
+                assert bound.polynomial() == want
+                if want.is_zero:
+                    continue
+                assert bound.value(x) == want.eval(x)
+                from_ints, from_poly = SturmChain(bound.ints), SturmChain(want)
+                for t in (*interval, F(0)):
+                    assert from_ints.variations_at(t) == from_poly.variations_at(t)
+
+    check()
+
+
+def test_exhausted_search_counts_roots_only_when_read(monkeypatch):
+    built = []
+    init = SturmChain.__init__
+
+    def counting(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(SturmChain, "__init__", counting)
+    # a false claim: every depth fails its samples, the error goes unread
+    # and the counterexample scan disproves it, with no Sturm chain at all
+    assert cli.run(["prove", "2*exp(-x) > 2 - 2*x + x^2", "--on", "0,1", "--json"]) == 1
+    assert built == []
+    f = Mep([(1, 0, 1), (-1, 0, 0)])
+    with pytest.raises(SearchExhaustedError) as ei:
+        prove_positive(f, UNIT, 4)
+    assert built == []
+    assert str(ei.value) == "no valid bound up to l = 4 (last P had 0 interior roots)"
+    assert len(built) == 1
+    assert ei.value.last_root_count == 0 and str(ei.value).endswith("roots)")
+    assert len(built) == 1  # counted once
 
 
 def test_prove_sign_directions_and_error_mappings():
