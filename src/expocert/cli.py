@@ -122,9 +122,9 @@ def _clear_denominator(
     """Reduce N/D > 0 to a single MEP > 0, multiplying through by D only
     once its sign on the interval is certified."""
     num, den = quotient.numerator, quotient.denominator
-    if len(den.terms) == 1 and den.terms[0].p == 0 and den.terms[0].q == 0:
-        c = den.terms[0].alpha
-        return (num if c > 0 else -num), None
+    q, c = den.groups[0]
+    if len(den.groups) == 1 and q == 0 and c.degree == 0:
+        return (num if c.leading > 0 else -num), None
     try:
         sgn, cert = prove_sign(den, interval, max_l, mode)
     except SearchExhaustedError as exc:

@@ -5,11 +5,15 @@ A mixed exponential polynomial (MEP) is a finite sum
     sum_k  alpha_k * x^(p_k) * (e^(-x))^(q_k)
 
 with rational alpha_k, nonnegative integer p_k and, in canonical form,
-nonnegative integer q_k. Writing y for e^(-x) this is just a bivariate
-polynomial in (x, y), which is the internal view taken here: it is closed
-under addition, multiplication and d/dx (since dy/dx = -y), and grouping
-by the y-exponent recovers the coefficient polynomials c_q(x) that the
-prover bounds one at a time.
+nonnegative integer q_k. Writing y for e^(-x) this is a bivariate
+polynomial in (x, y), closed under addition, multiplication and d/dx
+(since dy/dx = -y). A `Mep` holds it grouped by the y-exponent, as
+
+    sum_q  c_q(x) * y^q
+
+with one `Polynomial` c_q per q: the coefficient polynomials that the
+prover bounds one at a time and the evaluator sums at a point. Sums,
+products and d/dx (c_q' - q*c_q in each group) are `Polynomial`'s own.
 
 Inputs with negative q (positive exponentials) are handled by `normalize`,
 which multiplies through by a positive power of y; inputs with rational q
@@ -39,74 +43,48 @@ from .arith import (
     quotient_enclosure,
 )
 from .errors import DenominatorSignUnknownError, PreconditionError
-from .poly import Polynomial
-
-
-@dataclass(frozen=True)
-class MepTerm:
-    """One addend alpha * x^p * (e^(-x))^q.
-
-    q may be negative here; only the canonical Mep container insists on
-    q >= 0.
-    """
-
-    alpha: Fraction
-    p: int
-    q: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.p < 0:
-            raise PreconditionError("x-power p must be nonnegative")
-
-    def text(self) -> str:
-        parts = []
-        if self.p:
-            parts.append("x" if self.p == 1 else f"x^{self.p}")
-        if self.q:
-            inner = "-x" if self.q == 1 else f"-{self.q}*x"
-            parts.append(f"exp({inner})")
-        mag = abs(self.alpha)
-        if not parts:
-            return str(mag)
-        if mag != 1:
-            parts.insert(0, str(mag))
-        return "*".join(parts)
-
-
-def _as_terms(items) -> list[MepTerm]:
-    out = []
-    for it in items:
-        if isinstance(it, MepTerm):
-            out.append(it)
-        else:
-            a, p, q = it
-            out.append(MepTerm(Fraction(a), int(p), int(q)))
-    return out
+from .poly import Polynomial, _power, _signed_sum
 
 
 class Mep:
-    """Canonical mixed exponential polynomial.
+    """Canonical mixed exponential polynomial, held as its groups.
 
-    Terms are merged on equal (p, q), zero coefficients dropped, and the
-    sequence sorted by (q, p). All q are nonnegative; feed raw terms with
-    negative q through `normalize` first.
+    `groups` is the tuple of pairs (q, c_q) with ascending q >= 0 and
+    nonzero Polynomial c_q: the MEP is sum c_q(x) e^(-qx). The constructor
+    takes raw terms (alpha, p, q) = alpha x^p e^(-qx) and merges equal
+    (p, q); feed raw terms with negative q through `normalize` first.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("groups",)
 
-    terms: tuple[MepTerm, ...]
+    groups: tuple[tuple[int, Polynomial], ...]
 
     def __init__(self, terms: Iterable = ()):
-        merged: dict[tuple[int, int], Fraction] = {}
-        for t in _as_terms(terms):
-            if t.q < 0:
+        by_q: dict[int, dict[int, Fraction]] = {}
+        for a, p, q in terms:
+            if p < 0:
+                raise PreconditionError("x-power p must be nonnegative")
+            if q < 0:
                 raise PreconditionError(
                     "canonical Mep needs q >= 0; use normalize() first"
                 )
-            _put(merged, (t.q, t.p), t.alpha)
-        cleaned = [MepTerm(a, p, q) for (q, p), a in sorted(merged.items())]
-        object.__setattr__(self, "terms", tuple(cleaned))
+            _put(by_q.setdefault(q, {}), p, Fraction(a))
+        groups = [
+            (q, Polynomial([cs.get(p, 0) for p in range(max(cs) + 1)]))
+            for q, cs in by_q.items()
+            if cs
+        ]
+        object.__setattr__(self, "groups", tuple(sorted(groups)))
+
+    @classmethod
+    def _of(cls, groups: dict[int, Polynomial]) -> "Mep":
+        """The Mep with these groups by q, less those that cancelled to
+        zero (`_put` cannot tell a zero Polynomial)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "groups", tuple(sorted(
+            (q, c) for q, c in groups.items() if not c.is_zero
+        )))
+        return m
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Mep is immutable")
@@ -119,76 +97,51 @@ class Mep:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.groups
 
     def __add__(self, other: "Mep") -> "Mep":
-        return Mep(self.terms + other.terms)
+        out = dict(self.groups)
+        for q, c in other.groups:
+            _put(out, q, c)
+        return Mep._of(out)
 
     def __neg__(self) -> "Mep":
-        return Mep([(-t.alpha, t.p, t.q) for t in self.terms])
+        return Mep._of({q: -c for q, c in self.groups})
 
     def __sub__(self, other: "Mep") -> "Mep":
         return self + (-other)
 
     def __mul__(self, other: "Mep") -> "Mep":
-        prods = [
-            (a.alpha * b.alpha, a.p + b.p, a.q + b.q)
-            for a in self.terms
-            for b in other.terms
-        ]
-        return Mep(prods)
-
-    def scale(self, c) -> "Mep":
-        c = Fraction(c)
-        return Mep([(t.alpha * c, t.p, t.q) for t in self.terms])
+        out: dict[int, Polynomial] = {}
+        for q, c in self.groups:
+            for r, d in other.groups:
+                _put(out, q + r, c * d)
+        return Mep._of(out)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mep) and self.terms == other.terms
+        return isinstance(other, Mep) and self.groups == other.groups
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash(self.groups)
 
     # -- calculus ---------------------------------------------------------
 
     def differentiate(self) -> "Mep":
         """Exact d/dx. Since y = e^(-x) has dy/dx = -y,
 
-            d/dx [a x^p y^q] = a p x^(p-1) y^q - a q x^p y^q.
+            d/dx [c_q(x) y^q] = (c_q'(x) - q c_q(x)) y^q.
         """
-        out: list[tuple[Fraction, int, int]] = []
-        for t in self.terms:
-            if t.p:
-                out.append((t.alpha * t.p, t.p - 1, t.q))
-            if t.q:
-                out.append((-t.alpha * t.q, t.p, t.q))
-        return Mep(out)
+        return Mep._of({q: c.derivative() - c.scale(q) for q, c in self.groups})
 
-    # -- structure ----------------------------------------------------------
-
-    def group_by_q(self) -> list[tuple[int, Polynomial]]:
-        """Coefficient polynomials per exponential power, ascending q."""
-        groups: dict[int, dict[int, Fraction]] = {}
-        for t in self.terms:
-            groups.setdefault(t.q, {})[t.p] = t.alpha
-        out = []
-        for q in sorted(groups):
-            coeffs = groups[q]
-            top = max(coeffs)
-            poly = Polynomial([coeffs.get(i, Fraction(0)) for i in range(top + 1)])
-            out.append((q, poly))
-        return out
+    # -- display ------------------------------------------------------------
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for t in self.terms:
-            body = t.text()
-            if not parts:
-                parts.append(body if t.alpha > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if t.alpha > 0 else f"- {body}")
-        return " ".join(parts)
+        """Terms by ascending q, then ascending power of x; "0" when zero."""
+        terms = []
+        for q, c in self.groups:
+            exp = ["exp(-x)" if q == 1 else f"exp(-{q}*x)"] if q else []
+            terms += [(a, _power("x", p) + exp) for p, a in enumerate(c.coeffs) if a]
+        return _signed_sum(terms)
 
     def __repr__(self) -> str:
         return f"Mep({self.text()!r})"
@@ -213,10 +166,9 @@ def normalize(terms) -> Mep:
     multiplied by y^(-q_min); since that factor is e^(|q_min| x) > 0,
     positivity of the sum on any interval is unchanged.
     """
-    ts = _as_terms(terms)
-    q_min = min((t.q for t in ts), default=0)
-    shift = -q_min if q_min < 0 else 0
-    return Mep([(t.alpha, t.p, t.q + shift) for t in ts])
+    terms = list(terms)
+    shift = max(0, -min((q for _, _, q in terms), default=0))
+    return Mep([(a, p, q + shift) for a, p, q in terms])
 
 
 def _stretch(groups) -> tuple[int, list[list[tuple[Fraction, int, int]]]]:
@@ -246,7 +198,7 @@ def _value_sum(f: Mep, x: Fraction) -> ExpSum:
     """f(x) written exactly as the sum {-q*x: c_q(x)} of rational
     multiples of e^s."""
     out: ExpSum = {}
-    for q, c in f.group_by_q():
+    for q, c in f.groups:
         _put(out, -q * x, c.eval(x))
     return out
 

@@ -200,24 +200,9 @@ class Polynomial:
 
     def text(self, var: str = "x") -> str:
         """Canonical display form: "8 - 12*x + 1/2*x^2"; "0" when zero."""
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            elif mag == 1:
-                body = var if i == 1 else f"{var}^{i}"
-            else:
-                body = f"{mag}*{var}" if i == 1 else f"{mag}*{var}^{i}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _signed_sum(
+            (c, _power(var, i)) for i, c in enumerate(self.coeffs) if c
+        )
 
     def coeff_strings(self) -> list[str]:
         """JSON-friendly form: coefficient strings indexed by power."""
@@ -226,6 +211,27 @@ class Polynomial:
     @classmethod
     def from_coeff_strings(cls, items: Sequence[str]) -> "Polynomial":
         return cls([Fraction(s) for s in items])
+
+
+def _power(var: str, k: int) -> list[str]:
+    """The factors that display var^k: none for k = 0."""
+    return [] if not k else [var if k == 1 else f"{var}^{k}"]
+
+
+def _signed_sum(terms: Iterable[tuple[Fraction, list[str]]]) -> str:
+    """Display form of a sum of terms c * f1 * f2 * ..., each c nonzero,
+    given as (c, [f1, f2, ...]): |c| leads unless it is 1 and factors
+    follow; the first term keeps its "-", later terms join with " + " or
+    " - "; "0" for no terms."""
+    parts: list[str] = []
+    for c, factors in terms:
+        mag = abs(c)
+        body = "*".join([str(mag), *factors] if mag != 1 or not factors else factors)
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

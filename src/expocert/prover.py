@@ -175,7 +175,7 @@ def bounding_units(
     def add_unit(q: int, poly: Polynomial, sign: int) -> None:
         units.append(BoundUnit(index=len(units), q=q, poly=poly, sign=sign))
 
-    for q, c_q in f.group_by_q():
+    for q, c_q in f.groups:
         if q == 0:
             passthrough = c_q
             continue

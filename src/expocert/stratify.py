@@ -52,10 +52,12 @@ from .errors import (
 )
 from .expr import InequalityAst, Node, exp_sum_at, lower_grid
 from .mep import ExpRational, Mep, _stretch, _value_sum, differentiate_quotient
+from .poly import _power, _signed_sum
 from .prover import (
     DEFAULT_MAX_L,
     PER_TERM,
     Certificate,
+    _check_interval,
     prove_positive,
     prove_sign,
 )
@@ -161,9 +163,7 @@ def analyze_affine_family(fam: AffineFamily, max_l: int = DEFAULT_MAX_L) -> Fami
     left one; increasing swaps them. p0 and d0 are formed symbolically,
     so p0 - A = B - p0 holds exactly, not just numerically.
     """
-    a, b = Fraction(fam.interval[0]), Fraction(fam.interval[1])
-    if not 0 <= a < b:
-        raise PreconditionError("need rational endpoints 0 <= a < b")
+    a, b = _check_interval(fam.interval)
 
     _check_endpoint(fam.f, a, fam.endpoint_a_value)
     _check_endpoint(fam.f, b, fam.endpoint_b_value)
@@ -294,26 +294,11 @@ class ParamExpFamily:
         return ParamExpFamily(out)
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for t in self.terms:
-            atoms = []
-            if t.p:
-                atoms.append("x" if t.p == 1 else f"x^{t.p}")
-            if t.r:
-                atoms.append("alpha" if t.r == 1 else f"alpha^{t.r}")
-            if t.u or t.v:
-                atoms.append(f"exp(-alpha*({t.u}*x + {t.v}))")
-            mag = abs(t.c)
-            if mag != 1 or not atoms:
-                atoms.insert(0, str(mag))
-            body = "*".join(atoms)
-            if not bits:
-                bits.append(body if t.c > 0 else f"-{body}")
-            else:
-                bits.append(f"+ {body}" if t.c > 0 else f"- {body}")
-        return " ".join(bits)
+        return _signed_sum(
+            (t.c, _power("x", t.p) + _power("alpha", t.r)
+             + ([f"exp(-alpha*({t.u}*x + {t.v}))"] if t.u or t.v else []))
+            for t in self.terms
+        )
 
     def __repr__(self) -> str:
         return f"ParamExpFamily({self.text()!r})"
@@ -440,9 +425,7 @@ def cascade_check(
     second derivative degenerates to the zero family, in which case the
     deepest nonvanishing layer is used.
     """
-    a, b = Fraction(x_interval[0]), Fraction(x_interval[1])
-    if not 0 <= a < b:
-        raise PreconditionError("need rational endpoints 0 <= a < b")
+    a, b = _check_interval(x_interval)
     levels = [fam, fam.diff_alpha()]
     levels.append(levels[-1].diff_alpha())
     depth = 2

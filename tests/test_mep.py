@@ -9,7 +9,6 @@ from expocert.errors import DenominatorSignUnknownError, PreconditionError
 from expocert.mep import (
     ExpRational,
     Mep,
-    MepTerm,
     _stretch,
     differentiate_quotient,
     eval_enclosure,
@@ -23,24 +22,28 @@ G_TERMS = [(2, 0, 0), (-6, 0, 1), (-1, 3, 1), (6, 0, 2), (-1, 3, 2), (-2, 0, 3)]
 
 def test_canonical_merge_and_order():
     m = Mep([(1, 2, 1), (2, 2, 1), (5, 0, 0), (-5, 0, 0)])
-    assert m.terms == (MepTerm(F(3), 2, 1),)
+    assert m.groups == ((1, Polynomial([0, 0, 3])),)
     assert Mep([(1, 0, 0), (-1, 0, 0)]).is_zero
-    # sorted by (q, p)
+    # ascending q
     m = Mep([(1, 1, 2), (1, 0, 1), (1, 5, 0)])
-    assert [(t.q, t.p) for t in m.terms] == [(0, 5), (1, 0), (2, 1)]
+    assert m.groups == (
+        (0, Polynomial.monomial(1, 5)),
+        (1, Polynomial.constant(1)),
+        (2, Polynomial.monomial(1, 1)),
+    )
     with pytest.raises(PreconditionError):
         Mep([(1, 0, -1)])
     with pytest.raises(PreconditionError):
-        MepTerm(F(1), -1, 0)
+        Mep([(1, -1, 0)])
 
 
 def test_algebra():
     a = Mep([(1, 1, 0)])           # x
     b = Mep([(1, 0, 1)])           # y
-    assert (a * b).terms == (MepTerm(F(1), 1, 1),)
+    assert (a * b).groups == ((1, Polynomial([0, 1])),)
     assert a + b - a == b
+    assert (a + b - b).groups == a.groups  # the cancelled y group is dropped
     assert (-(a - b)) == b - a
-    assert a.scale(F(1, 2)) == Mep([(F(1, 2), 1, 0)])
     assert Mep.constant(3) == Mep([(3, 0, 0)])
 
 
@@ -65,7 +68,7 @@ def test_differentiate_product_rule():
 
 def test_group_by_q():
     g = Mep(G_TERMS)
-    groups = dict(g.group_by_q())
+    groups = dict(g.groups)
     assert groups[0] == Polynomial.constant(2)
     assert groups[1] == Polynomial([F(-6), F(0), F(0), F(-1)])
     assert groups[2] == Polynomial([F(6), F(0), F(0), F(-1)])
@@ -79,6 +82,32 @@ def test_text_shape():
     )
     assert Mep().text() == "0"
     assert Mep([(F(1, 2), 1, 1)]).text() == "1/2*x*exp(-x)"
+
+
+def test_text_lowers_back_to_the_same_mep():
+    # the verifier re-parses a certificate's input, f.text() + " > 0", and
+    # requires it to lower to exactly f
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    from expocert.expr import parse_expression, to_exp_rational
+
+    term = st.tuples(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(raw=st.lists(term, max_size=6))
+    @example(raw=[])
+    def check(raw):
+        m = Mep(raw)
+        assert to_exp_rational(parse_expression(m.text())) == (
+            ExpRational(m, Mep.constant(1)), 1
+        )
+
+    check()
 
 
 def test_normalize_shifts_by_min_q():

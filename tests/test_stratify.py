@@ -218,9 +218,9 @@ def test_substitute_alpha_half_stretches():
     z = F(1, 4)
     got = {}
     for w, mep in ((F(0), sub.pure),) + sub.offsets:
-        for t in mep.terms:
-            key = -t.q * z - w
-            got[key] = got.get(key, F(0)) + t.alpha * z**t.p
+        for q, c in mep.groups:
+            key = -q * z - w
+            got[key] = got.get(key, F(0)) + c.eval(z)
     got = {k: v for k, v in got.items() if v}
     assert got == {F(-1, 4): F(1), F(0): F(-5, 8), F(-1, 2): F(-1, 4)}
 
