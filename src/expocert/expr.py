@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import ConstExpr, ExpSum, _put, _sum_add, _sum_mul, _sum_pow
 from .errors import (
@@ -429,14 +429,17 @@ def _prec(n: Node) -> int:
 # sparse sum, or a product, power or sum of such sums that is kept
 # unexpanded: expanding (1 + x + exp(x))^40 costs far more than raising
 # its value at each grid point. A sum is a dict {(form, i, j, signs): c}
-# for the monomial c * x^i * a^j * prod sign_k^e_k * exp(form), where form
-# = (l0, lx, la, lxa) is the exp argument's _linear_form on 1, x, a, x*a
-# and signs holds pairs (k, e) into a table of the distinct sign(...)
-# arguments, e = 1 or 2 (sign^3 = sign). Sums add and multiply by arith's
-# _sum_add and _sum_mul, with _mono_mul as the product of two monomials.
+# for the monomial c * x^i * a^j * prod sign_k^e_k * exp(form). The form
+# (l0, lx, la, lxa, L) holds the exp argument (l0 + lx*x + la*a + lxa*x*a)/L
+# on integers, with L > 0 and the five divided by their gcd, so equal
+# exponents are equal keys; signs holds pairs (k, e) into a table of the
+# distinct sign(...) arguments, e = 1 or 2 (sign^3 = sign). Sums add and
+# multiply by arith's _sum_add and _sum_mul, with _mono_mul as the product
+# of two monomials; a power of one monomial is taken in one step.
 # Products by a single monomial expand; products of two longer sums do not.
 # The parser checks each form but keeps only the tree, which is all that a
-# tree built by hand has, so _lower calls _linear_form again.
+# tree built by hand has, so _lower calls _linear_form again, once per
+# exp leaf, and makes its integer form there.
 #
 # A quotient is undefined wherever one of its divisors is zero or itself
 # undefined. So a division keeps the divisor's own den as a factor of both
@@ -445,19 +448,34 @@ def _prec(n: Node) -> int:
 # den that is one monomial c * exp(form) free of x, a and sign cannot
 # vanish, and is not kept.
 
-_NO_EXP = (Fraction(0),) * 4
+_NO_EXP = (0, 0, 0, 0, 1)
 _UNIT = (_NO_EXP, 0, 0, ())
 _ONE_SUM = {_UNIT: Fraction(1)}
+
+
+def _reduced(*ints: int) -> tuple:
+    """The integers divided by their gcd."""
+    g = gcd(*ints)
+    return ints if g == 1 else tuple(n // g for n in ints)
 
 
 def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     f1, i1, j1, s1 = m1
     f2, i2, j2, s2 = m2
-    exps = dict(s1)
-    for k, e in s2:
-        exps[k] = exps.get(k, 0) + e
-    signs = tuple(sorted((k, 2 - e % 2) for k, e in exps.items()))
-    return tuple(u + v for u, v in zip(f1, f2)), i1 + i2, j1 + j2, signs
+    if f2 == _NO_EXP:
+        form = f1
+    elif f1 == _NO_EXP:
+        form = f2
+    else:
+        *u, l1 = f1
+        *v, l2 = f2
+        form = _reduced(*(a * l2 + b * l1 for a, b in zip(u, v)), l1 * l2)
+    if s1 and s2:
+        exps = dict(s1)
+        for k, e in s2:
+            exps[k] = exps.get(k, 0) + e
+        s1 = tuple(sorted((k, 2 - e % 2) for k, e in exps.items()))
+    return form, i1 + i2, j1 + j2, s1 or s2
 
 
 def _mul(p, q):
@@ -489,7 +507,10 @@ def _pow(p, k: int):
     if k == 1:
         return p
     if isinstance(p, dict) and len(p) <= 1:
-        return _expand(("pow", p, k))
+        # one monomial: c^k, every exponent times k, sign exponents 1 or 2
+        return {(_reduced(*(u * k for u in form[:4]), form[4]), i * k, j * k,
+                 tuple((s, 2 - e * k % 2) for s, e in signs)): c**k
+                for (form, i, j, signs), c in p.items()}
     return ("pow", p, k)
 
 
@@ -502,10 +523,12 @@ def _lower(node: Node, signs: list, seen: dict) -> tuple:
         mono = (_NO_EXP, 1, 0, ()) if node.value == "x" else (_NO_EXP, 0, 1, ())
         return {mono: Fraction(1)}, _ONE_SUM
     if op == "e":
-        return {((Fraction(1),) + _NO_EXP[1:], 0, 0, ()): Fraction(1)}, _ONE_SUM
+        return {((1, 0, 0, 0, 1), 0, 0, ()): Fraction(1)}, _ONE_SUM
     if op == "exp":
         lin = _linear_form(node.args[0], 0)
-        form = tuple(lin.get(key, Fraction(0)) for key in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        coeffs = [lin.get(key, 0) for key in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        den = lcm(*(f.denominator for f in coeffs))  # leaves no common factor
+        form = (*(f.numerator * (den // f.denominator) for f in coeffs), den)
         return {(form, 0, 0, ()): Fraction(1)}, _ONE_SUM
     if op == "sign":
         arg = node.args[0]
@@ -598,7 +621,7 @@ def _expand(p) -> dict:
 
 def _raw_terms(p: dict) -> _RawTerms:
     out = []
-    for ((l0, lx, la, lxa), i, j, _), c in p.items():
+    for ((l0, lx, la, lxa, den), i, j, _), c in p.items():
         if j:
             raise LoweringError("only the variable x can appear in a proof input")
         if la or lxa:
@@ -607,7 +630,7 @@ def _raw_terms(p: dict) -> _RawTerms:
             raise LoweringError(
                 "the constant e, or an exp argument with a constant offset, has no "
                 "exact mixed-exponential form; write exp(c*x) factors instead")
-        out.append((c, i, -lx))
+        out.append((c, i, Fraction(-lx, den)))
     return out
 
 
@@ -630,10 +653,11 @@ def to_exp_rational(node: Node) -> tuple[ExpRational, int]:
 # the two-parameter grid: integers at each point
 #
 # At a rational point every exp(form) collapses to e^s with rational s,
-# so each side becomes an exact finite sum {s: c} (arith.ExpSum). Each
-# group of monomials sharing one form is stored on integers over one
-# denominator L, so its coefficient at x = px/qx, a = pa/qa is a single
-# integer sum over L * qx^I * qa^J.
+# so each side becomes an exact finite sum {s: c} (arith.ExpSum). The
+# monomials of a sum are grouped by their integer form, and each group's
+# coefficients are stored on integers over one scale, so at x = px/qx,
+# a = pa/qa its coefficient is a single integer sum over
+# scale * qx^I * qa^J, and its exponent one integer over L * qx * qa.
 
 
 @dataclass(frozen=True)
@@ -658,8 +682,9 @@ def lower_grid(node: Node) -> GridForm:
 
 
 def _compile(p, powers: tuple):
-    """Replace each sum by its groups ((s or None, exponent integers, L,
-    monomials), ...); s is the exponent when it is constant."""
+    """Replace each sum by its groups ((s or None, form, scale, monomials),
+    ...): the monomials of one form, with integer coefficients over one
+    scale; s is the exponent when it is constant."""
     if not isinstance(p, dict):
         return (p[0], *(_compile(c, powers) if isinstance(c, (dict, tuple)) else c
                         for c in p[1:]))
@@ -670,13 +695,11 @@ def _compile(p, powers: tuple):
         powers[1].add(j)
     groups = []
     for form, monos in by_form.items():
-        fd = lcm(*(f.denominator for f in form))
-        ints = tuple(f.numerator * (fd // f.denominator) for f in form) + (fd,)
         scale = lcm(*(c.denominator for c, *_ in monos))
         monos = tuple((c.numerator * (scale // c.denominator), i, j, sg)
                       for c, i, j, sg in monos)
-        const = form[0] if not any(form[1:]) else None
-        groups.append((const, ints, scale, monos))
+        const = Fraction(form[0], form[4]) if not any(form[1:4]) else None
+        groups.append((const, form, scale, monos))
     return ("sum", tuple(groups))
 
 

@@ -183,7 +183,8 @@ def _stretch(groups) -> tuple[int, list[list[tuple[Fraction, int, int]]]]:
     """
     v = _common_denominator(q for terms in groups for _, _, q in terms)
     return v, [
-        [(a * Fraction(v) ** p, p, int(q * v)) for a, p, q in terms]
+        [(a * v**p if v > 1 else a, p, q.numerator * (v // q.denominator))
+         for a, p, q in terms]
         for terms in groups
     ]
 

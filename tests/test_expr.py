@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from expocert import expr
 from expocert.arith import _sum_add, _sum_mul, _sum_pow, _sum_reciprocal
 from expocert.errors import (
     LoweringError,
@@ -249,6 +250,11 @@ def test_lowering_fractional_rates_stretch():
     assert stretch == 6
     assert q.numerator == Mep([(1, 0, 3)])
     assert q.denominator == Mep([(1, 0, 0), (1, 0, 2)])
+    # equal exponents are equal keys, however they were built
+    for text in ("exp(-x/3)^3 - exp(-x)", "exp(-2*x/4) - exp(-x/2)"):
+        assert to_exp_rational(parse_expression(text))[0].numerator.is_zero
+    q, stretch = to_exp_rational(parse_expression("exp(x/2)*exp(-x/2)"))
+    assert stretch == 1 and q == ExpRational(Mep.constant(1), Mep.constant(1))
 
 
 def test_lowering_quotient_shape():
@@ -317,6 +323,25 @@ def test_lowering_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert gc.collect() == 0
+
+
+def test_power_of_one_monomial_makes_no_product(monkeypatch):
+    # x^k of one monomial is taken in one step, for num and den alike
+    calls = []
+    mono_mul = expr._mono_mul
+    monkeypatch.setattr(expr, "_mono_mul", lambda m1, m2: calls.append(1) or mono_mul(m1, m2))
+    q, stretch = to_exp_rational(parse_expression("exp(-x/3)^9999"))
+    assert (q, stretch) == (ExpRational(Mep([(1, 0, 3333)]), Mep.constant(1)), 1)
+    ast = parse_inequality("exp(x)^10000 > a^200")
+    form = lower_grid(Node("sub", (ast.left, ast.right)))
+    assert calls == []
+    for x, a, num in [
+        (F(0), F(1), {}),
+        (F(1, 2), F(-1), {F(5000): F(1), F(0): F(-1)}),
+        (F(1), F(1, 2), {F(10000): F(1), F(0): -F(1, 2**200)}),
+        (F(-1, 3), F(2), {F(-10000, 3): F(1), F(0): F(-(2**200))}),
+    ]:
+        assert exp_sum_at(form, x, a) == (num, {F(0): F(1)})
 
 
 def _grid_value(text, x, a):
@@ -517,6 +542,11 @@ def test_grid_lowering_matches_recursive_walk():
     @given(tree=trees, x=coords, a=coords)
     # at x = a the inner quotient, and so the whole tree, is undefined
     @example(tree=parse_expression("1/(1/(x - a))"), x=F(1), a=F(1))
+    # powers of one monomial: forms divided by their gcd, and sign
+    # exponents reduced to 1 or 2, here where sign(x - a) = -1
+    @example(tree=parse_expression("exp(a*x/3)^3 - exp(a*x)"), x=F(1, 2), a=F(-2))
+    @example(tree=parse_expression("sign(x - a)^3 - sign(x - a)"), x=F(-1), a=F(1))
+    @example(tree=parse_expression("sign(x - a)^2*exp(x/2)^2"), x=F(-1), a=F(1))
     def check(tree, x, a):
         point = {"x": x, "a": a}
         try:
@@ -550,6 +580,12 @@ def test_grid_lowering_matches_recursive_walk():
         assert _sum_mul(num, _sum_reciprocal(den)) == old
 
     check()
+    # the same examples merge into canonical groups before any point
+    for text in ("exp(a*x/3)^3 - exp(a*x)", "exp(x/2)*exp(a*x/2) - exp((x + a*x)/2)",
+                 "sign(x - a)^3 - sign(x - a)"):
+        assert lower_grid(parse_expression(text)).num == ("sum", ())
+    form = lower_grid(parse_expression("sign(x - a)^2*exp(x/2)^2"))
+    assert form.num == ("sum", ((None, (0, 1, 0, 0, 1), 1, ((1, 0, 0, ((0, 2),)),)),))
 
 
 # The former lower_to_quotient walk, kept as a reference: raw terms
