@@ -7,7 +7,9 @@ Maclaurin bracket
 
     T_{2m-1}(t) < exp(-t) < T_{2m}(t)    for rational t > 0,
 
-whose width t^(2m)/(2m)! is an exact rational.
+whose width t^(2m)/(2m)! is an exact rational. `_brackets` walks it on
+integers over one denominator (2m)!*r^(2m) for t = p/r, and a Fraction is
+built only for the interval returned.
 
 A value taken at a rational point is an exact finite sum of rational
 multiples of e^s (ExpSum), or a quotient of two: an MEP at a point, a
@@ -15,7 +17,9 @@ grid point's two sides, a constant in e (ConstExpr). Distinct e^s are
 linearly independent over Q, so such a sum is zero only when it has no
 terms. `lau_enclosure` encloses every sum through powers of one
 tau = e^(1/D) with 1/D <= 1, so a large |s| needs no high Maclaurin
-order, and computes on integer mantissas rounded outward; `exp_sum_sign`
+order, and computes on integer mantissas rounded outward; a caller that
+signs many sums, such as one grid command, passes it a table of the tau
+enclosures made so far, so each is made once; `exp_sum_sign`
 reads the sign of a one-signed sum off its coefficients and otherwise
 tightens the enclosure until it clears zero, down to a width floor, and
 `quotient_enclosure` divides two.
@@ -121,16 +125,23 @@ class RationalInterval:
 
 
 def _brackets(t: Fraction):
-    """Yield (T_{2m-1}(t), T_{2m}(t), t^(2m)/(2m)!) for m = 1, 2, ... up
-    to MACLAURIN_ORDER_CAP, each extending the previous partial sum by two
-    terms."""
-    acc = Fraction(1)
-    term = Fraction(1)
-    for k in range(1, 2 * MACLAURIN_ORDER_CAP + 1):
-        term *= -t / k
-        acc += term
-        if k % 2 == 0:  # the last term added is +t^(2m)/(2m)!
-            yield acc - term, acc, term
+    """Yield integers (A, B, Q, W) for m = 1, 2, ... up to
+    MACLAURIN_ORDER_CAP, with T_{2m-1}(t) = A/Q, T_{2m}(t) = B/Q and the
+    width t^(2m)/(2m)! = W/Q, so A = B - W.
+
+    For t = p/r, S_n = Q_n * T_n(t) over Q_n = n! * r^n satisfies
+    S_n = n*r*S_{n-1} + (-p)^n, so the walk takes only integer products
+    and the callers compare on integers, building Fractions only for the
+    interval they return."""
+    p, r = t.numerator, t.denominator
+    s = q = w = 1  # S_0, Q_0, p^0
+    for n in range(2, 2 * MACLAURIN_ORDER_CAP + 1, 2):
+        k = (n - 1) * r
+        s = n * r * (k * s - w * p)  # through S_{n-1}, whose last term is -p^(n-1)
+        q *= k * n * r
+        w *= p * p
+        s += w
+        yield s - w, s, q, w
 
 
 def enclose_exp_neg(t, eps, m_force: int | None = None) -> RationalInterval:
@@ -150,9 +161,10 @@ def enclose_exp_neg(t, eps, m_force: int | None = None) -> RationalInterval:
         raise PreconditionError("eps must be positive")
     if t == 0:
         return RationalInterval.point(1)
-    for m, (lo, hi, width) in enumerate(_brackets(t), 1):
-        if (width < eps) if m_force is None else (m == m_force):
-            return RationalInterval(lo, hi)
+    en, ed = eps.numerator, eps.denominator
+    for m, (a, b, q, w) in enumerate(_brackets(t), 1):
+        if (w * ed < en * q) if m_force is None else (m == m_force):
+            return RationalInterval(Fraction(a, q), Fraction(b, q))
     raise BudgetExceededError(f"exp(-{t}) not enclosed to width {eps} within order cap")
 
 
@@ -161,7 +173,8 @@ def exp_enclosure(s, eps) -> RationalInterval:
 
     Positive s goes through the reciprocal of the exp(-s) bracket: from
     the first bracket narrower than eps (1/2 if eps >= 1) on, the partial
-    sum is extended until the reciprocal is narrow enough.
+    sum is extended until the reciprocal [Q/B, Q/A] is narrow enough,
+    that is until A > 0 and Q*W/(A*B) < eps, all read on integers.
     """
     s = _rat(s)
     eps = _rat(eps)
@@ -170,9 +183,11 @@ def exp_enclosure(s, eps) -> RationalInterval:
     if s <= 0:
         return enclose_exp_neg(-s, eps)
     inner = eps if eps < 1 else Fraction(1, 2)
-    for lo, hi, width in _brackets(s):
-        if width < inner and lo > 0 and 1 / lo - 1 / hi < eps:
-            return RationalInterval(1 / hi, 1 / lo)
+    inn, ind = inner.numerator, inner.denominator
+    en, ed = eps.numerator, eps.denominator
+    for a, b, q, w in _brackets(s):
+        if ind * w < inn * q and a > 0 and q * w * ed < en * a * b:
+            return RationalInterval(Fraction(q, b), Fraction(q, a))
     raise BudgetExceededError(f"exp({s}) not enclosed to width {eps} within order cap")
 
 
@@ -280,7 +295,7 @@ def _mantissa_pow(lo: int, hi: int, k: int, bits: int) -> tuple[int, int]:
     return acc_lo, acc_hi
 
 
-def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
+def lau_enclosure(a: ExpSum, eps, taus: dict | None = None) -> RationalInterval:
     """Enclose sum c * e^s to width < eps.
 
     With D the common denominator of the exponents, every e^s is an
@@ -289,12 +304,19 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
     is narrow enough. Each round runs on integer mantissas over 2**bits:
     tau, its powers and each term c * tau^k are rounded outward (floor
     for the lower end, ceiling for the upper), then summed as ints.
+
+    `taus`, if given, is a table of the tau enclosures already made,
+    keyed by (D, width): a caller that signs many sums, as grid_check
+    does for one command, passes one dict to all of them, and each tau
+    is enclosed once. The result is the same with or without it.
     """
     eps = _rat(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     if set(a) <= {0}:  # no e^s with s != 0: the value is exact
         return RationalInterval.point(a.get(0, 0))
+    if taus is None:
+        taus = {}
     denom = _common_denominator(a)
     powers = [(int(s * denom), c.numerator, c.denominator) for s, c in a.items()]
     # seed the schedule from the target: the first tau needs roughly the
@@ -304,7 +326,10 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
     bits = 64 + extra
     tau_eps = eps / (1 << 16)
     for _ in range(60):
-        lo, hi = exp_enclosure(Fraction(1, denom), tau_eps).mantissas(bits)
+        tau = taus.get((denom, tau_eps))
+        if tau is None:
+            tau = taus[denom, tau_eps] = exp_enclosure(Fraction(1, denom), tau_eps)
+        lo, hi = tau.mantissas(bits)
         lo_sum = hi_sum = 0
         for k, n, d in powers:
             p_lo, p_hi = _mantissa_pow(lo, hi, k, bits)
@@ -320,7 +345,9 @@ def lau_enclosure(a: ExpSum, eps) -> RationalInterval:
     raise BudgetExceededError("exponential sum enclosure did not converge")
 
 
-def exp_sum_sign(a: ExpSum, eps=Fraction(1, 1 << SIGN_BITS_CAP)) -> int:
+def exp_sum_sign(
+    a: ExpSum, eps=Fraction(1, 1 << SIGN_BITS_CAP), taus: dict | None = None
+) -> int:
     """Exact sign of sum c * e^s: 0 for {} and only for {}.
 
     Every e^s is positive, so coefficients of one sign give the sign
@@ -329,7 +356,7 @@ def exp_sum_sign(a: ExpSum, eps=Fraction(1, 1 << SIGN_BITS_CAP)) -> int:
     nonzero and a narrow enough lau_enclosure clears zero. The width
     starts at 2^-16 and is squared while it stays above eps, then eps is
     tried; a mixed-sign value no width down to eps signs raises
-    BudgetExceededError.
+    BudgetExceededError. `taus` is passed on to lau_enclosure.
     """
     if not a:
         return 0
@@ -341,7 +368,7 @@ def exp_sum_sign(a: ExpSum, eps=Fraction(1, 1 << SIGN_BITS_CAP)) -> int:
     bits = 16
     while True:
         width = max(Fraction(1, 1 << bits), eps)
-        sgn = lau_enclosure(a, width).definite_sign()
+        sgn = lau_enclosure(a, width, taus).definite_sign()
         if sgn:
             return sgn
         if width == eps:

@@ -109,16 +109,11 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             bad = i + len(rest) - len(rest.lstrip())
             raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("num") is not None:
-            out.append(_Token("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            name = m.group("name")
-            if name not in _KNOWN_NAMES:
-                raise ParseError(f"unknown name {name!r}", m.start("name"))
-            out.append(_Token("name", name, m.start("name")))
-        else:
-            op = _OP_ALIASES.get(m.group("op"), m.group("op"))
-            out.append(_Token("op", op, m.start("op")))
+        kind = m.lastgroup  # "num", "name" or "op": exactly one matched
+        tok, pos = m.group(kind), m.start(kind)
+        if kind == "name" and tok not in _KNOWN_NAMES:
+            raise ParseError(f"unknown name {tok!r}", pos)
+        out.append(_Token(kind, _OP_ALIASES.get(tok, tok) if kind == "op" else tok, pos))
         i = m.end()
     out.append(_Token("end", "", n))
     return out

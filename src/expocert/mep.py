@@ -68,7 +68,7 @@ class Mep:
                 raise PreconditionError(
                     "canonical Mep needs q >= 0; use normalize() first"
                 )
-            _put(by_q.setdefault(q, {}), p, Fraction(a))
+            _put(by_q.setdefault(q, {}), p, a if isinstance(a, Fraction) else Fraction(a))
         groups = [
             (q, Polynomial([cs.get(p, 0) for p in range(max(cs) + 1)]))
             for q, cs in by_q.items()

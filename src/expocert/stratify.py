@@ -554,6 +554,7 @@ def grid_check(
     want_less = ineq.cmp in ("<", "<=")
 
     form = lower_grid(Node("sub", (ineq.left, ineq.right)))
+    taus: dict = {}  # the e^(1/D) enclosures of this command, for lau_enclosure
 
     holds: list[tuple[Fraction, Fraction]] = []
     fails: list[tuple[Fraction, Fraction]] = []
@@ -563,10 +564,10 @@ def grid_check(
             try:
                 num, den = exp_sum_at(form, xv, av)
                 if len(den) > 1:
-                    sgn = exp_sum_sign(num, eps)
-                    sgn *= sgn and exp_sum_sign(den, eps)
+                    sgn = exp_sum_sign(num, eps, taus)
+                    sgn *= sgn and exp_sum_sign(den, eps, taus)
                 else:  # _sum_reciprocal raises on an exactly zero den
-                    sgn = exp_sum_sign(_sum_mul(num, _sum_reciprocal(den)), eps)
+                    sgn = exp_sum_sign(_sum_mul(num, _sum_reciprocal(den)), eps, taus)
             except (LoweringError, BudgetExceededError):
                 undecided.append((xv, av))
                 continue

@@ -89,10 +89,11 @@ def gap_enclosure(n: int, x, eps) -> RationalInterval:
         return RationalInterval.point(0)
     tn = maclaurin(n).poly.eval(x)
     # brackets from m = (n + 1)//2 + 1 on, whose orders exceed n
-    for lo, hi, _ in islice(_brackets(x), (n + 1) // 2, None):
-        out = RationalInterval(tn - hi, tn - lo)
-        if out.width < eps and out.definite_sign() != 0:
-            return out
+    for a, b, q, w in islice(_brackets(x), (n + 1) // 2, None):
+        if w * eps.denominator < eps.numerator * q:  # the width W/Q
+            out = RationalInterval(tn - Fraction(b, q), tn - Fraction(a, q))
+            if out.definite_sign() != 0:
+                return out
     raise BudgetExceededError(f"gap F_{n}({x}) not resolved within order cap")
 
 

@@ -295,6 +295,19 @@ def test_lau_enclosure_tightening_is_consistent():
     s1 = lau_enclosure(term, F(1, 10**3)).definite_sign()
     s2 = lau_enclosure(term, F(1, 10**25)).definite_sign()
     assert s1 == s2 == 1
+    # one table of tau enclosures, shared across sums of different D and
+    # widths, gives what each call gives without one
+    rng = random.Random(37)
+    taus = {}
+    for _ in range(80):
+        a = {}
+        for _ in range(rng.randint(1, 4)):
+            s = F(rng.randint(-40, 40), rng.randint(1, 6))
+            _put(a, s, F(rng.randint(-9, 9), rng.randint(1, 5)))
+        eps = F(rng.randint(1, 3), 2 ** rng.choice((8, 16, 30, 64, 120)))
+        assert lau_enclosure(a, eps, taus) == lau_enclosure(a, eps)
+    denoms = {d for d, _ in taus}
+    assert len(denoms) > 1 and len(taus) > len(denoms)
 
 
 def test_quotient_enclosure_and_sign():

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from expocert.arith import ConstExpr, _sum_mul, _sum_reciprocal, lau_enclosure
+from expocert import arith
+from expocert.arith import ConstExpr, _sum_mul, _sum_reciprocal, exp_sum_sign, lau_enclosure
 from expocert.errors import (
     BudgetExceededError,
     EndpointValidationError,
@@ -319,6 +320,42 @@ def test_grid_undecided_then_decided():
     assert len(coarse.undecided_at) == 4
     fine = grid_check(ineq, *ranges, steps=2, eps=F(1, 10**30))
     assert len(fine.undecided_at) == 0 and len(fine.holds_at) == 4
+
+
+def test_grid_encloses_each_tau_once(monkeypatch):
+    # the points of one grid command share one table of tau = e^(1/D)
+    # enclosures, and are classified as when each is signed on its own
+    calls = []
+    enclose = arith.exp_enclosure
+    monkeypatch.setattr(
+        arith, "exp_enclosure", lambda s, eps: calls.append((s, eps)) or enclose(s, eps)
+    )
+    ineq = parse_inequality(INEQ_13)
+    form = lower_grid(Node("sub", (ineq.left, ineq.right)))
+    xs = (F(1, 10**4), F(2, 10**4), F(3, 10**4))
+    as_ = (F(-1, 7), F(2, 21), F(1, 3))
+    for eps in (F(1, 10**30), F(1, 10**5)):
+        calls.clear()
+        rep = grid_check(ineq, (xs[0], xs[-1]), (as_[0], as_[-1]), 3, eps)
+        # one call per distinct (1/D, width), though each tau serves
+        # several points; at 10^-30 some tau is needed at two widths
+        assert calls and len(calls) == len(set(calls))
+        assert len({s for s, _ in calls}) < len(calls) or eps > F(1, 10**20)
+        want = {"holds": [], "fails": [], "undecided": []}
+        for x in xs:
+            for a in as_:
+                num, den = exp_sum_at(form, x, a)
+                try:
+                    sgn = exp_sum_sign(_sum_mul(num, _sum_reciprocal(den)), eps)
+                except BudgetExceededError:
+                    want["undecided"].append((x, a))
+                    continue
+                want["fails" if sgn > 0 else "holds"].append((x, a))
+        assert (list(rep.holds_at), list(rep.fails_at), list(rep.undecided_at)) == (
+            want["holds"], want["fails"], want["undecided"]
+        )
+        # at 10^-5 some points run out of widths and stay undecided
+        assert rep.holds_at and (rep.undecided_at or eps < F(1, 10**20))
 
 
 def test_grid_quotients_and_zero_denominators():
