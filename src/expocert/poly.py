@@ -8,31 +8,39 @@ module, so every sign decision is exact.
 Deciding signs works on integers. A polynomial is first scaled by a
 positive rational to its primitive integer form; its value at ``n/d`` is
 taken homogeneously as ``d**deg * P(n/d)``, which has the sign of
-``P(n/d)``. ``sample_refutes``, ``squarefree_part`` and ``SturmChain``
-also take an integer list that stands for a positive multiple of a
-polynomial, as the prover holds its bounds. ``sample_refutes`` evaluates a
-polynomial at a few fixed rationals of an interval and reports a
-nonpositive interior value (or a negative endpoint value), which settles
-"not positive" without any remainder sequence. Otherwise root counting
-goes through a Sturm chain of the squarefree part, which SturmChain finds
-without a separate gcd when x^k is P's only repeated factor. It stores
-only its members' integer lists; its ``poly`` and ``chain`` are built
-from them each time they are read. The gcd and the Sturm chain are both
-primitive pseudo-remainder sequences: each remainder is computed on
-integer coefficient lists after multiplying by a positive power of the
-divisor's leading coefficient, then reduced to its primitive part. The
-positive factors change no sign, so every member equals the primitive
-part of the exact rational remainder.
+``P(n/d)``. ``sample_refutes``, ``descartes_positive``,
+``squarefree_part`` and ``SturmChain`` also take an integer list that
+stands for a positive multiple of a polynomial, as the prover holds its
+bounds.
 
-Interval conventions: ``count_roots_open`` and ``is_positive_on`` speak
-about the open interval (a, b). Roots exactly at an endpoint are never
-counted and never falsify positivity.
+Descartes proves, Sturm verifies: two independent kernels decide P > 0.
+``sample_refutes`` evaluates a polynomial at a few fixed rationals of an
+interval and reports a nonpositive interior value (or a negative endpoint
+value), which settles "not positive" at once. ``descartes_positive``,
+which the prover and ``is_positive_on`` call next, maps the interval onto
+(0, 1) and bisects it, counting sign variations by Descartes' rule on
+each piece and checking each piece's midpoint value exactly. The
+verifier counts roots with a Sturm chain of the squarefree part instead,
+which SturmChain finds without a separate gcd when x^k is P's only
+repeated factor. It stores only its members' integer lists; its ``poly``
+and ``chain`` are built from them each time they are read. The gcd and
+the Sturm chain are both primitive pseudo-remainder sequences: each
+remainder is computed on integer coefficient lists after multiplying by a
+positive power of the divisor's leading coefficient, then reduced to its
+primitive part. The positive factors change no sign, so every member
+equals the primitive part of the exact rational remainder.
+
+Interval conventions: ``count_roots_open``, ``is_positive_on`` and
+``descartes_positive`` speak about the open interval (a, b). Roots
+exactly at an endpoint are never counted and never falsify positivity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ZeroPolynomialError
@@ -455,18 +463,118 @@ def sample_refutes(p: Polynomial | list[int], a, b) -> bool:
     return any(_value(cs, a + k * step) <= 0 for k in range(1, SAMPLE_PARTS))
 
 
+# descartes_positive counts roots with P's squarefree part from this
+# bisection depth on: an even-multiplicity root keeps P's count at 2 or
+# more however small the piece around it, a simple root does not
+DESCARTES_SQUAREFREE_DEPTH = 12
+
+
+def _shifted(cs: list[int], t: int) -> list[int]:
+    """Coefficients of c(x + t): synthetic division by x - t, repeated.
+
+    Held highest degree first, each division is a running Horner sum over
+    the coefficients it has not yet fixed.
+    """
+    h = cs[::-1]
+    step = add if t == 1 else (lambda acc, c: acc * t + c)
+    for end in range(len(h), 1, -1):
+        h[:end] = accumulate(h[:end], step)
+    return h[::-1]
+
+
+def _sign_changes(cs: list[int]) -> int:
+    count = prev = 0
+    for c in cs:
+        if c:
+            if prev and (c > 0) != (prev > 0):
+                count += 1
+            prev = c
+    return count
+
+
+def _on_unit_interval(cs: list[int], a: Fraction, b: Fraction) -> list[int]:
+    """A positive multiple of P(a + (b - a) x) / x^k, with x^k the largest
+    power that divides it (k is the multiplicity of a as a root of P).
+
+    With m = lcm of the endpoint denominators, a = s/m and b - a = w/m:
+    m^d P((s + w x)/m) = sum c_i m^(d-i) (s + w x)^i.
+    """
+    m = lcm(a.denominator, b.denominator)
+    s = a.numerator * (m // a.denominator)
+    w = b.numerator * (m // b.denominator) - s
+    d = len(cs) - 1
+    q = [c * m ** (d - i) for i, c in enumerate(cs)]
+    if s:
+        q = _shifted(q, s)
+    q = [c * w**i for i, c in enumerate(q)]
+    k = next(i for i, c in enumerate(q) if c)
+    return q[k:]
+
+
+def _descartes_pieces(
+    cs: list[int], count: list[int], a: Fraction, b: Fraction, max_depth
+) -> bool | None:
+    """P > 0 on (a, b), with P the integer list cs and roots counted on
+    the list count, whose roots in (a, b) are P's.
+
+    Each piece (u, v) of the bisection holds C(x), a positive multiple of
+    count(u + (v - u) x) on (0, 1). P's exact value at the piece's
+    midpoint must be positive. The sign variations of (1+z)^d C(1/(1+z))
+    bound the roots in (u, v) and have their parity: 0 clears the piece,
+    1 is a root, and 2 or more splits it in halves, 2^d C(x/2) and
+    2^d C((x+1)/2). None when a piece at max_depth still counts 2 or more.
+    """
+    pieces = [(_on_unit_interval(count, a, b), 0, 0)]
+    while pieces:
+        q, depth, j = pieces.pop()
+        # the piece is (a + (b - a) j / 2^depth, a + (b - a) (j + 1) / 2^depth)
+        if _value(cs, a + (b - a) * Fraction(2 * j + 1, 2 ** (depth + 1))) <= 0:
+            return False
+        v = _sign_changes(_shifted(q[::-1], 1))
+        if v == 1:
+            return False
+        if v == 0:
+            continue
+        if depth == max_depth:
+            return None
+        d = len(q) - 1
+        left = [c << (d - i) for i, c in enumerate(q)]
+        pieces += [(_shifted(left, 1), depth + 1, 2 * j + 1), (left, depth + 1, 2 * j)]
+    return True
+
+
+def descartes_positive(p: Polynomial | list[int], a, b) -> bool:
+    """True iff p > 0 on the whole open interval (a, b), by Descartes'
+    rule of signs with bisection (Collins and Akritas, 1976).
+
+    p is a nonzero Polynomial, or an integer list that stands for a
+    positive multiple of one. Roots at a or b are allowed. Every piece of
+    the bisection has its midpoint value checked exactly, and a count of
+    one root settles "not positive". Past DESCARTES_SQUAREFREE_DEPTH the
+    roots are counted on the squarefree part, whose roots are simple, so
+    the bisection ends whatever the multiplicities are.
+    """
+    cs = _integer_coeffs(p) if isinstance(p, Polynomial) else p
+    if not cs:
+        raise ZeroPolynomialError("positivity of the zero polynomial is degenerate")
+    a, b = _check_open(a, b)
+    verdict = _descartes_pieces(cs, cs, a, b, DESCARTES_SQUAREFREE_DEPTH)
+    if verdict is None:
+        squarefree = _integer_coeffs(squarefree_part(cs))
+        verdict = _descartes_pieces(cs, squarefree, a, b, None)
+    return verdict
+
+
 def is_positive_on(p: Polynomial, a, b) -> bool:
     """True iff p > 0 on the whole open interval (a, b).
 
-    Decided exactly: a sampled refutation settles False at once; otherwise
-    no interior root (Sturm) plus a positive midpoint value. Zeros at the
-    endpoints themselves are tolerated.
+    Decided exactly: a sampled refutation settles False at once;
+    otherwise Descartes' rule of signs with bisection decides
+    (``descartes_positive``). Zeros at the endpoints themselves are
+    tolerated.
     """
     if p.is_zero:
         raise ZeroPolynomialError("positivity of the zero polynomial is degenerate")
     a, b = _check_open(a, b)
-    if sample_refutes(p, a, b):
-        return False
-    if count_roots_open(p, a, b) != 0:
-        return False
-    return p.eval((a + b) / 2) > 0
+    cs = _integer_coeffs(p)
+    return not sample_refutes(cs, a, b) and descartes_positive(cs, a, b)

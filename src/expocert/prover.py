@@ -6,35 +6,40 @@ against the sign of its coefficient (odd order under positive
 coefficients, even under negative). Every replacement can only lower the
 value on x > 0, so the resulting ordinary polynomial P satisfies
 f(x) > P(x) there, except that a pure polynomial passes through exactly.
-If Sturm counting certifies P > 0 on the interval, f > 0 follows, and
-everything needed to re-check that conclusion is packaged as a
-Certificate.
+If P > 0 is certified on the interval, f > 0 follows, and everything
+needed to re-check that conclusion is packaged as a Certificate.
+
+Descartes proves, Sturm verifies. The search decides P > 0 by exact
+samples and then Descartes' rule of signs with bisection
+(`descartes_positive`); the verifier rebuilds P from scratch in
+Fractions and decides it with a Sturm chain, so the two share no decision
+kernel. A certificate records no Sturm data: its v_a, v_b and
+endpoint_adjust are derived from its P when read.
 
 The search over Taylor orders is deliberately dumb: one shared depth l
-for every bounded unit, deepened until the Sturm test passes or the depth
-budget runs out. Going from depth l - 1 to l adds only the next two Taylor
-terms of each unit, so each depth extends the last P rather than
+for every bounded unit, deepened until P is certified positive or the
+depth budget runs out. Going from depth l - 1 to l adds only the next two
+Taylor terms of each unit, so each depth extends the last P rather than
 rebuilding it. P is held as integers over one positive denominator, the
 way FLINT's fmpq_poly holds a rational polynomial (`_IntegerBound`): the
-sample test, the Sturm chain, the endpoint test and the witness value all
-read that integer list, and a Polynomial of Fractions is built only for
-the certificate. The verifier still rebuilds P from scratch in Fractions.
-Most depths fail, so each P first meets an exact sample test
+sample test, the Descartes test and the witness value all read that
+integer list, and a Polynomial of Fractions is built only for the
+certificate. Most depths fail, so each P first meets an exact sample test
 (`sample_refutes`): a nonpositive value at one of a few fixed interior
-rationals, or a negative endpoint value, rejects the depth without a
-Sturm chain. Such a P would fail the Sturm test too, so the first passing
-depth and its certificate do not change.
-The root count that an exhausted search reports comes from its last P,
-and is taken on demand: only when the error's count or message is read,
-which a search that ends in a disproof never does. A greedy per-unit
-descent (`minimize_assignment`) can then shrink the orders, which tends
-to shrink deg P as well.
+rationals, or a negative endpoint value, rejects the depth at once, since
+such a P is not positive.
+The root count that an exhausted search reports comes from a Sturm chain
+of its last P, and is taken on demand: only when the error's count or
+message is read, which a search that ends in a disproof never does. A
+greedy per-unit descent (`minimize_assignment`) can then shrink the
+orders, which tends to shrink deg P as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, lcm, perm
 from typing import Optional, Sequence, Union
 
@@ -47,7 +52,14 @@ from .errors import (
     SearchExhaustedError,
 )
 from .mep import ExpRational, Mep, eval_enclosure, sign_at
-from .poly import Polynomial, SturmChain, _value, is_positive_on, sample_refutes
+from .poly import (
+    Polynomial,
+    SturmChain,
+    _value,
+    descartes_positive,
+    is_positive_on,
+    sample_refutes,
+)
 from .taylor import maclaurin, select_order
 from .arith import RationalInterval
 
@@ -86,18 +98,37 @@ class AssignmentEntry:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Self-contained, independently checkable record of f > 0 on (a,b)."""
+    """Self-contained, independently checkable record of f > 0 on (a,b).
+
+    ``v_a``, ``v_b`` and ``endpoint_adjust`` are the Sturm data of poly on
+    the interval: sign variations at a and at b, and 1 if b is a root.
+    They are neither stored nor serialized; one Sturm chain of poly is
+    built when the first of them is read.
+    """
 
     input: str
     interval: tuple[Fraction, Fraction]
     mode: str
     assignment: tuple[AssignmentEntry, ...]
     poly: Polynomial
-    v_a: int
-    v_b: int
-    endpoint_adjust: int
     witness_x: Fraction
     witness_value: Fraction
+
+    @cached_property
+    def _chain(self) -> SturmChain:
+        return SturmChain(self.poly)
+
+    @property
+    def v_a(self) -> int:
+        return self._chain.variations_at(self.interval[0])
+
+    @property
+    def v_b(self) -> int:
+        return self._chain.variations_at(self.interval[1])
+
+    @property
+    def endpoint_adjust(self) -> int:
+        return 1 if self.poly.eval(self.interval[1]) == 0 else 0
 
     def to_json_dict(self) -> dict:
         a, b = self.interval
@@ -110,16 +141,13 @@ class Certificate:
                 for e in self.assignment
             ],
             "poly": self.poly.coeff_strings(),
-            "sturm": {
-                "v_a": self.v_a,
-                "v_b": self.v_b,
-                "endpoint_adjust": self.endpoint_adjust,
-            },
             "witness": {"x": str(self.witness_x), "value": str(self.witness_value)},
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "Certificate":
+        """The certificate a JSON object records. A "sturm" object, which
+        certificates carried before verify derived it, is ignored."""
         try:
             interval = (Fraction(d["interval"][0]), Fraction(d["interval"][1]))
             assignment = tuple(
@@ -132,9 +160,6 @@ class Certificate:
                 mode=d["mode"],
                 assignment=assignment,
                 poly=Polynomial.from_coeff_strings(d["poly"]),
-                v_a=int(d["sturm"]["v_a"]),
-                v_b=int(d["sturm"]["v_b"]),
-                endpoint_adjust=int(d["sturm"]["endpoint_adjust"]),
                 witness_x=Fraction(d["witness"]["x"]),
                 witness_value=Fraction(d["witness"]["value"]),
             )
@@ -156,19 +181,21 @@ def _check_interval(interval) -> tuple[Fraction, Fraction]:
 
 
 def bounding_units(
-    f: Mep, interval, mode: str = PER_TERM
+    f: Mep, interval, mode: str = PER_TERM, positive=None
 ) -> tuple[list[BoundUnit], Polynomial]:
     """Split f into bounded units plus the exact q=0 passthrough.
 
     Grouped mode bounds a whole exponential group at once whenever its
     coefficient polynomial has certified constant sign on the interval,
     and quietly degrades to per-term units for groups where it does not.
-    Unit enumeration is deterministic, so the same (f, interval, mode)
-    always yields the same indexing.
+    ``positive(p, a, b)`` certifies that sign: is_positive_on unless the
+    verifier passes its own Sturm test. Unit enumeration is deterministic,
+    so the same (f, interval, mode) always yields the same indexing.
     """
     a, b = _check_interval(interval)
     if mode not in (PER_TERM, GROUPED):
         raise PreconditionError(f"unknown mode {mode!r}")
+    positive = positive or is_positive_on
     units: list[BoundUnit] = []
     passthrough = Polynomial.zero()
 
@@ -180,10 +207,10 @@ def bounding_units(
             passthrough = c_q
             continue
         if mode == GROUPED:
-            if is_positive_on(c_q, a, b):
+            if positive(c_q, a, b):
                 add_unit(q, c_q, 1)
                 continue
-            if is_positive_on(-c_q, a, b):
+            if positive(-c_q, a, b):
                 add_unit(q, c_q, -1)
                 continue
         for p, alpha in enumerate(c_q.coeffs):
@@ -333,8 +360,9 @@ def _attempt(
     assignment: tuple[AssignmentEntry, ...],
     bound: _IntegerBound,
 ) -> Optional[Certificate]:
-    """Check the P of one assignment: samples, then the Sturm chain of P's
-    squarefree part (SturmChain takes P's integer list as it is).
+    """Check the P of one assignment: samples, then Descartes' rule of
+    signs with bisection (descartes_positive takes P's integer list as it
+    is).
 
     The caller builds P, extending the P it checked last, and keeps a
     failing P for the diagnostics of an exhausted search. A P that
@@ -343,29 +371,17 @@ def _attempt(
     """
     a, b = interval
     ints = bound.ints
-    if not ints or sample_refutes(ints, a, b):
-        return None
-    chain = SturmChain(ints)
-    v_a = chain.variations_at(a)
-    v_b = chain.variations_at(b)
-    adjust = 1 if _value(ints, b) == 0 else 0
-    if v_a - v_b - adjust != 0:
+    if not ints or sample_refutes(ints, a, b) or not descartes_positive(ints, a, b):
         return None
     mid = (a + b) / 2
-    value = bound.value(mid)
-    if value <= 0:
-        return None
     return Certificate(
         input=f"{f.text()} > 0",
         interval=interval,
         mode=mode,
         assignment=assignment,
         poly=bound.polynomial(),
-        v_a=v_a,
-        v_b=v_b,
-        endpoint_adjust=adjust,
         witness_x=mid,
-        witness_value=value,
+        witness_value=bound.value(mid),
     )
 
 
@@ -375,7 +391,7 @@ def prove_positive(
     """Prove f > 0 on the open interval, or raise SearchExhaustedError.
 
     Iterative deepening with one shared l across all units; the first
-    assignment whose P passes the Sturm test wins, which makes the result
+    assignment whose P is certified positive wins, which makes the result
     a deterministic function of the input. Each depth extends the last P
     by the next two Taylor terms of every unit. Exhaustion is a statement
     about this search only, never a disproof; its root count is taken
@@ -502,6 +518,12 @@ def falsify(f: Union[Mep, ExpRational], interval) -> Optional[NegativeWitness]:
 # independent verification
 
 
+def _sturm_positive(p: Polynomial, a: Fraction, b: Fraction) -> bool:
+    """p > 0 on (a, b): a positive value at the midpoint, and no root
+    inside by a Sturm chain."""
+    return p.eval((a + b) / 2) > 0 and SturmChain(p).roots_in_open(a, b) == 0
+
+
 def verify_certificate(cert: Certificate) -> bool:
     ok, _ = verify_certificate_report(cert)
     return ok
@@ -511,9 +533,12 @@ def verify_certificate_report(cert: Certificate) -> tuple[bool, str]:
     """Re-derive everything a certificate claims.
 
     Parses the recorded input, rebuilds the bounding polynomial from the
-    recorded assignment, recomputes the Sturm data and the witness, and
-    compares against the recorded values bit for bit. The first mismatch
-    is reported; "ok" only when the re-derivation also implies f > 0.
+    recorded assignment, counts its interior roots with a Sturm chain,
+    recomputes the witness, and compares against the recorded values bit
+    for bit. The first mismatch is reported; "ok" only when the
+    re-derivation also implies f > 0. Positivity is decided here by Sturm
+    chains alone, grouped units' signs included: nothing the prover
+    decides with (descartes_positive, sample_refutes) is called.
     """
     from .expr import parse_inequality, to_exp_rational
 
@@ -535,7 +560,7 @@ def verify_certificate_report(cert: Certificate) -> tuple[bool, str]:
         if stretch != 1 or quotient.denominator != Mep.constant(1):
             raise MalformedCertificateError("input is not in canonical MEP form")
         f = quotient.numerator
-        units, passthrough = bounding_units(f, (a, b), cert.mode)
+        units, passthrough = bounding_units(f, (a, b), cert.mode, _sturm_positive)
     except PreconditionError as exc:
         raise MalformedCertificateError(str(exc)) from exc
 
@@ -556,16 +581,7 @@ def verify_certificate_report(cert: Certificate) -> tuple[bool, str]:
     if rebuilt.is_zero:
         return False, "bounding polynomial is zero"
 
-    chain = SturmChain(rebuilt)
-    v_a = chain.variations_at(a)
-    v_b = chain.variations_at(b)
-    adjust = 1 if rebuilt.eval(b) == 0 else 0
-    if (v_a, v_b, adjust) != (cert.v_a, cert.v_b, cert.endpoint_adjust):
-        return False, (
-            f"sturm data recomputes to ({v_a}, {v_b}, {adjust}), "
-            f"recorded ({cert.v_a}, {cert.v_b}, {cert.endpoint_adjust})"
-        )
-    if v_a - v_b - adjust != 0:
+    if SturmChain(rebuilt).roots_in_open(a, b) != 0:
         return False, "interior root count is not zero"
     if not a < cert.witness_x < b:
         return False, "witness point outside the interval"

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 from expocert import cli
+from expocert.prover import Certificate, verify_certificate_report
 
 G_TEXT = (
     "2 - 6*exp(-x) - x^3*exp(-x) + 6*exp(-2*x) - x^3*exp(-2*x) - 2*exp(-3*x)"
@@ -28,11 +29,12 @@ def test_prove_json_output(capsys):
     code = cli.run(["prove", f"{G_TEXT} > 0", "--on", "0,1", "--json"])
     assert code == 0
     data = json.loads(capsys.readouterr().out)
-    assert set(data) == {
-        "input", "interval", "mode", "assignment", "poly", "sturm", "witness",
-    }
+    assert set(data) == {"input", "interval", "mode", "assignment", "poly", "witness"}
     assert data["interval"] == ["0", "1"]
-    assert data["sturm"]["v_a"] - data["sturm"]["v_b"] - data["sturm"]["endpoint_adjust"] == 0
+    # the Sturm data that verify derives: no root of P inside (0, 1)
+    cert = Certificate.from_json_dict(data)
+    assert cert.v_a - cert.v_b - cert.endpoint_adjust == 0
+    assert verify_certificate_report(cert) == (True, "ok")
 
 
 def test_prove_minimize_never_worse(capsys):
@@ -207,18 +209,50 @@ def test_verify_mismatch_and_malformed(tmp_path, capsys):
     assert cli.run(["verify", str(tampered)]) == 1
     assert "mismatch" in capsys.readouterr().out
 
-    del data["sturm"]
+    del data["witness"]
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(data))
     assert cli.run(["verify", str(broken), "--json"]) == 1
     reply = json.loads(capsys.readouterr().out)
-    assert reply["verified"] is False
+    assert reply == {"verified": False, "reason": "bad certificate field: 'witness'"}
 
     not_json = tmp_path / "not.json"
     not_json.write_text("{nope")
     assert cli.run(["verify", str(not_json)]) == 3
     assert cli.run(["verify", str(tmp_path / "absent.json")]) == 3
     capsys.readouterr()
+
+
+# `prove G --on 0,1 --minimize --cert`, as written before certificates
+# dropped the "sturm" object that verify now derives
+OLD_CERT = {
+    "input": f"{G_TEXT} > 0",
+    "interval": ["0", "1"],
+    "mode": "per-term",
+    "assignment": [
+        {"term": 0, "l": 3, "theta": 6}, {"term": 1, "l": 3, "theta": 6},
+        {"term": 2, "l": 6, "theta": 11}, {"term": 3, "l": 5, "theta": 10},
+        {"term": 4, "l": 6, "theta": 12},
+    ],
+    "poly": ["0"] * 7 + ["1/140", "-83/6720", "589/60480", "-3299/604800",
+                         "14761/6652800", "-64507/79833600", "-4/14175"],
+    "sturm": {"v_a": 3, "v_b": 3, "endpoint_adjust": 0},
+    "witness": {"x": "1/2", "value": "2409167/108999475200"},
+}
+
+
+def test_certificate_with_a_sturm_object_still_verifies(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(OLD_CERT, indent=2))
+    assert cli.run(["verify", str(old)]) == 0
+    assert capsys.readouterr().out == "verified: ok\n"
+    # the object is ignored: today's certificate is the old one without it
+    new = tmp_path / "new.json"
+    args = ["prove", f"{G_TEXT} > 0", "--on", "0,1", "--minimize", "--cert", str(new)]
+    assert cli.run(args) == 0
+    capsys.readouterr()
+    without = {k: v for k, v in OLD_CERT.items() if k != "sturm"}
+    assert json.loads(new.read_text()) == without
 
 
 def test_family_report(tmp_path, capsys):

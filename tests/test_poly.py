@@ -1,4 +1,4 @@
-"""Exact polynomial algebra and Sturm root counting."""
+"""Exact polynomial algebra, Sturm root counting and the Descartes test."""
 
 import math
 import random
@@ -6,11 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from expocert import poly
 from expocert.errors import PreconditionError, ZeroPolynomialError
 from expocert.poly import (
     Polynomial,
     SturmChain,
     count_roots_open,
+    descartes_positive,
     is_positive_on,
     poly_gcd,
     squarefree_part,
@@ -168,6 +170,95 @@ def test_is_positive_on_agrees_with_sampling():
             for i in range(1, 16):
                 x = a + (b - a) * F(i, 16)
                 assert p(x) > 0
+
+
+def test_descartes_positive_edges(monkeypatch):
+    x = P(0, 1)
+    # multiple roots at the endpoints are allowed: x^7 (1 + x) on (0, 1),
+    # and (x - 1)^2 (x + 1) with its double root at b
+    assert descartes_positive(power(x, 7) * P(1, 1), F(0), F(1))
+    assert descartes_positive(power(P(-1, 1), 2) * P(1, 1), F(0), F(1))
+    # a root exactly at the midpoint of a piece: 1/2 of (0, 1), 3/8 of
+    # (1/4, 1/2) two bisections down; a nearby positive P is cleared
+    assert not descartes_positive(power(P(-1, 2), 2), F(0), F(1))
+    assert not descartes_positive(power(P(-3, 8), 2), F(0), F(1))
+    assert descartes_positive(power(P(-3, 8), 2) + P(F(1, 10**6)), F(0), F(1))
+    # an integer list stands for any positive multiple
+    assert descartes_positive([2, 0, 2], F(-1), F(1))
+    assert not descartes_positive([-2, 0, 2], F(-2), F(2))
+    with pytest.raises(ZeroPolynomialError):
+        descartes_positive([], F(0), F(1))
+    with pytest.raises(PreconditionError):
+        descartes_positive([1], F(1), F(1))
+
+    # (x^2 - 2)^2 on (1, 2): the double root at sqrt(2) keeps the count of
+    # every piece around it at 2, so the test returns only because it
+    # counts on the squarefree part from DESCARTES_SQUAREFREE_DEPTH on
+    reductions = []
+    squarefree = poly.squarefree_part
+
+    def counting(p):
+        reductions.append(p)
+        return squarefree(p)
+
+    monkeypatch.setattr(poly, "squarefree_part", counting)
+    assert not descartes_positive(power(P(-2, 0, 1), 2), F(1), F(2))
+    assert len(reductions) == 1
+    # a simple root there, or none, needs no reduction
+    assert not descartes_positive(P(-2, 0, 1), F(1), F(2))
+    assert descartes_positive(power(P(-2, 0, 1), 2), F(3, 2), F(2))
+    assert len(reductions) == 1
+
+
+def test_descartes_positive_against_sturm_and_sympy():
+    # P = lead * x^k * prod (x - r)^m * (x^2 - c)^n on intervals whose
+    # endpoints are often roots: the Descartes test agrees with a Sturm
+    # chain plus the midpoint sign, and with sympy's root count
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    sx = sympy.Symbol("x")
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    verdicts = []
+
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 4),
+        roots=st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=4),
+        quadratic=st.tuples(st.integers(-3, 7), st.integers(0, 2)),
+        lead=st.sampled_from([F(-2), F(-1, 3), F(1), F(7, 2)]),
+        ends=st.tuples(rationals, rationals).filter(lambda ab: ab[0] != ab[1]),
+        at_root=st.sampled_from([None, 0, 1]),
+    )
+    def check(k, roots, quadratic, lead, ends, at_root):
+        c, n = quadratic
+        p = Polynomial.monomial(lead, k) * power(P(-c, 0, 1), n)
+        for r, m in roots:
+            p = p * power(P(-r, 1), m)
+        a, b = sorted(ends)
+        if at_root is not None and roots:  # move an endpoint onto a root
+            r = roots[0][0]
+            a, b = (r, max(b, r + 1)) if at_root == 0 else (min(a, r - 1), r)
+        mid = (a + b) / 2
+        want = SturmChain(p).roots_in_open(a, b) == 0 and p(mid) > 0
+        q = sympy.Poly([sympy.Rational(v.numerator, v.denominator)
+                        for v in reversed(p.coeffs)], sx)
+        inside = q.count_roots(a, b) - (p(a) == 0) - (p(b) == 0)
+        assert want == (inside == 0 and p(mid) > 0)
+        assert descartes_positive(p, a, b) == want
+        assert descartes_positive(_integer_list(p, 3), a, b) == want
+        verdicts.append(want)
+
+    check()
+    assert 40 <= sum(verdicts) <= len(verdicts) - 40
+
+
+def _integer_list(p, scale):
+    """p times scale and the lcm of its denominators: an integer list that
+    stands for a positive multiple of p."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * den) * scale for c in p.coeffs]
 
 
 def test_ring_homomorphism_random():

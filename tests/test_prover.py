@@ -17,8 +17,14 @@ from expocert.errors import (
     SearchExhaustedError,
 )
 from expocert.mep import ExpRational, Mep, eval_enclosure
-from expocert import prover
-from expocert.poly import Polynomial, SturmChain, count_roots_open, sample_refutes
+from expocert import poly, prover
+from expocert.poly import (
+    Polynomial,
+    SturmChain,
+    count_roots_open,
+    is_positive_on,
+    sample_refutes,
+)
 from expocert.prover import (
     GROUPED,
     PER_TERM,
@@ -279,10 +285,19 @@ def test_verify_rejects_tampering():
     ok, reason = verify_certificate_report(Certificate.from_json_dict(bad))
     assert not ok and "differs" in reason
 
-    bad = dict(d)
-    bad["sturm"] = dict(d["sturm"], v_a=d["sturm"]["v_a"] + 1)
-    ok, reason = verify_certificate_report(Certificate.from_json_dict(bad))
-    assert not ok and "sturm" in reason
+    # the Sturm data is derived, never read: a certificate built honestly
+    # at a depth whose P has a root inside the interval is refused
+    f = Mep([(1, 0, 1), (-1, 0, 0), (1, 1, 0)])
+    wide = (F(0), F(30))
+    shallow = uniform_assignment(bounding_units(f, wide)[0], 20)
+    p = lower_bound_poly(f, wide, shallow)
+    assert count_roots_open(p, *wide) == 1
+    low = Certificate(
+        input=f"{f.text()} > 0", interval=wide, mode=PER_TERM, assignment=shallow,
+        poly=p, witness_x=F(15), witness_value=p(F(15)),
+    )
+    assert low.v_a - low.v_b - low.endpoint_adjust == 1
+    assert verify_certificate_report(low) == (False, "interior root count is not zero")
 
     bad = dict(d)
     bad["witness"] = dict(d["witness"], value="1")
@@ -334,10 +349,11 @@ def _reference_bound(units, passthrough, thetas):
 
 
 def _reference_attempt(f, interval, mode, units, passthrough, assignment):
-    """One assignment checked on its rational P, rebuilt from scratch."""
+    """One assignment checked on its rational P, rebuilt from scratch, and
+    decided by a Sturm chain: no samples, no Descartes test."""
     total = _reference_bound(units, passthrough, [e.theta for e in assignment])
     a, b = interval
-    if total.is_zero or sample_refutes(total, a, b):
+    if total.is_zero:
         return None
     chain = SturmChain(total)
     v_a, v_b = chain.variations_at(a), chain.variations_at(b)
@@ -345,16 +361,18 @@ def _reference_attempt(f, interval, mode, units, passthrough, assignment):
     mid = (a + b) / 2
     if v_a - v_b - adjust != 0 or total(mid) <= 0:
         return None
-    return Certificate(
+    cert = Certificate(
         input=f"{f.text()} > 0", interval=interval, mode=mode,
-        assignment=assignment, poly=total, v_a=v_a, v_b=v_b,
-        endpoint_adjust=adjust, witness_x=mid, witness_value=total(mid),
+        assignment=assignment, poly=total, witness_x=mid, witness_value=total(mid),
     )
+    assert (cert.v_a, cert.v_b, cert.endpoint_adjust) == (v_a, v_b, adjust)
+    return cert
 
 
 def _reference_prove(f, interval, max_l, mode):
-    """The deepening loop with P rebuilt at every depth; None if exhausted."""
-    units, passthrough = bounding_units(f, interval, mode)
+    """The deepening loop with P rebuilt at every depth, and grouped units'
+    signs decided by the verifier's Sturm test; None if exhausted."""
+    units, passthrough = bounding_units(f, interval, mode, prover._sturm_positive)
     for l in [1] if not units else range(1, max_l + 1):
         assignment = uniform_assignment(units, l)
         cert = _reference_attempt(f, interval, mode, units, passthrough, assignment)
@@ -365,7 +383,7 @@ def _reference_prove(f, interval, max_l, mode):
 
 def _reference_minimize(f, interval, seed):
     """The greedy descent with P rebuilt for every trial."""
-    units, passthrough = bounding_units(f, interval, seed.mode)
+    units, passthrough = bounding_units(f, interval, seed.mode, prover._sturm_positive)
     entries, best, changed = list(seed.assignment), seed, True
     while changed:
         changed = False
@@ -387,7 +405,7 @@ def test_incremental_bound_matches_from_scratch_build():
     # random MEPs in both modes: P moved along random walks of orders (up
     # and down by any step) equals P built from scratch, and the
     # certificates of the search and of the descent equal those of loops
-    # that rebuild P for every assignment
+    # that rebuild P for every assignment and decide it by Sturm chains
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -511,6 +529,28 @@ def test_exhausted_search_counts_roots_only_when_read(monkeypatch):
     assert len(built) == 1
     assert ei.value.last_root_count == 0 and str(ei.value).endswith("roots)")
     assert len(built) == 1  # counted once
+
+
+def test_descartes_proves_sturm_verifies(monkeypatch):
+    # each side runs with the other side's kernel made to fail: the search,
+    # the descent and the grouped split build no Sturm chain, and verify
+    # (grouped units' signs included) calls no sampling or Descartes test
+    def refuse(*args):
+        raise AssertionError("the other side's kernel was called")
+
+    g = Mep(G_TERMS)
+    with monkeypatch.context() as m:
+        m.setattr(SturmChain, "__init__", refuse)
+        certs = [prove_positive(g, UNIT, mode=mode) for mode in (PER_TERM, GROUPED)]
+        certs.append(minimize_assignment(g, UNIT, certs[0]))
+        assert is_positive_on(Polynomial([F(6), F(0), F(0), F(-1)]), *UNIT)
+    for module in (poly, prover):
+        monkeypatch.setattr(module, "descartes_positive", refuse)
+        monkeypatch.setattr(module, "sample_refutes", refuse)
+    assert len(certs[1].assignment) == 3  # every q-group is one unit
+    for cert in certs:
+        assert verify_certificate_report(cert) == (True, "ok")
+        assert cert.v_a - cert.v_b - cert.endpoint_adjust == 0
 
 
 def test_prove_sign_directions_and_error_mappings():
