@@ -86,6 +86,8 @@ COMMANDS = [
     ["grid", "exp(x)^10000 > x^300*a^200", "--x", "0,1", "--a", "-1,1", "--steps", "3"],
     ["prove", "1/(1/(x - 1/2)) + 1 > 0", "--on", "0,1"],
     ["prove", "exp(-x/3)^3 > exp(-x)", "--on", "0,1"],
+    ["prove", "x*exp(-x) > x*exp(-x)", "--on", "0,1", "--json"],
+    ["prove", "x*exp(-x) >= x*exp(-x)", "--on", "0,1", "--json"],
     ["eval", "1/(1/(e - e))"],
     ["prove", "x + > 0", "--on", "0,1"],
     ["prove", G, "--on", "1,0"],
