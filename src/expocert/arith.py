@@ -39,17 +39,9 @@ from .errors import (
     LoweringError,
     PreconditionError,
 )
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial, _as_fraction, poly_gcd
 
 MACLAURIN_ORDER_CAP = 200
-
-
-def _rat(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, str)):
-        return Fraction(v)
-    raise TypeError(f"expected a rational, got {type(v).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +56,14 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _rat(self.lo))
-        object.__setattr__(self, "hi", _rat(self.hi))
+        object.__setattr__(self, "lo", _as_fraction(self.lo))
+        object.__setattr__(self, "hi", _as_fraction(self.hi))
         if self.lo > self.hi:
             raise PreconditionError(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
     def point(cls, v) -> "RationalInterval":
-        v = _rat(v)
+        v = _as_fraction(v)
         return cls(v, v)
 
     @property
@@ -153,8 +145,8 @@ def enclose_exp_neg(t, eps, m_force: int | None = None) -> RationalInterval:
 
     Raises BudgetExceededError if no m <= 200 is tight enough.
     """
-    t = _rat(t)
-    eps = _rat(eps)
+    t = _as_fraction(t)
+    eps = _as_fraction(eps)
     if t < 0:
         raise PreconditionError("enclose_exp_neg needs t >= 0")
     if eps <= 0 and m_force is None:
@@ -176,8 +168,8 @@ def exp_enclosure(s, eps) -> RationalInterval:
     sum is extended until the reciprocal [Q/B, Q/A] is narrow enough,
     that is until A > 0 and Q*W/(A*B) < eps, all read on integers.
     """
-    s = _rat(s)
-    eps = _rat(eps)
+    s = _as_fraction(s)
+    eps = _as_fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     if s <= 0:
@@ -310,7 +302,7 @@ def lau_enclosure(a: ExpSum, eps, taus: dict | None = None) -> RationalInterval:
     does for one command, passes one dict to all of them, and each tau
     is enclosed once. The result is the same with or without it.
     """
-    eps = _rat(eps)
+    eps = _as_fraction(eps)
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     if set(a) <= {0}:  # no e^s with s != 0: the value is exact
@@ -364,7 +356,7 @@ def exp_sum_sign(
         return 1
     if all(c < 0 for c in a.values()):
         return -1
-    eps = _rat(eps)
+    eps = _as_fraction(eps)
     bits = 16
     while True:
         width = max(Fraction(1, 1 << bits), eps)
@@ -390,7 +382,7 @@ def quotient_enclosure(num: ExpSum, den: ExpSum, eps) -> RationalInterval:
     """
     if not den:
         raise DivisionByPossiblyZeroError("division by an exact zero")
-    eps = delta = _rat(eps)
+    eps = delta = _as_fraction(eps)
     while True:
         d = lau_enclosure(den, delta)
         if not d.definite_sign():
@@ -433,7 +425,7 @@ class ConstExpr:
 
     @classmethod
     def rational(cls, q) -> "ConstExpr":
-        q = _rat(q)
+        q = _as_fraction(q)
         return cls({Fraction(0): q} if q else {}, _ONE)
 
     @staticmethod
@@ -512,7 +504,7 @@ def decimal_str(v, digits: int = 6) -> str:
     Truncation (toward zero) rather than rounding, so the printed digits
     are always an exact prefix of the true expansion.
     """
-    v = _rat(v)
+    v = _as_fraction(v)
     if digits < 0:
         raise PreconditionError("digits must be nonnegative")
     sign = "-" if v < 0 else ""

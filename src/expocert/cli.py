@@ -190,46 +190,43 @@ def _cmd_prove(ns) -> int:
     za, zb = a / stretch, b / stretch
     mode = GROUPED if ns.grouped else PER_TERM
 
+    mid = (za + zb) / 2
+    tie = NegativeWitness(x=mid, enclosure=RationalInterval.point(0))
     if quotient.numerator.is_zero:
-        if ineq.strict:
-            print(f"disproven: both sides of {ineq.text()} are identical")
-            return 1
-        print(f"holds with equality: both sides of {ineq.text()} are identical")
-        return 0
+        if ns.json and ineq.strict:
+            return _print_disproof(tie, stretch, True)
+        verdict = "disproven" if ineq.strict else "holds with equality"
+        reason = f"both sides of {ineq.text()} are identical"
+        print(json.dumps({"result": verdict, "reason": reason}) if ns.json
+              else f"{verdict}: {reason}")
+        return 1 if ineq.strict else 0
 
+    # f is the quotient until the denominator's sign is certified: it has
+    # the sign of the claim, so a false claim can be disproven without it
+    f = quotient
     try:
         f, den_cert = _clear_denominator(quotient, (za, zb), ns.max_l, mode)
-    except DenominatorSignUnknownError as exc:
-        # the quotient has the sign of the claim, so a false claim can
-        # still be disproven without the denominator's sign
-        witness = _counterexample(quotient, (za, zb), exc)
-        if witness is None:
-            raise
-        return _print_disproof(witness, stretch, ns.json)
-    try:
         cert = prove_positive(f, (za, zb), ns.max_l, mode)
         if ns.minimize:
             cert = minimize_assignment(f, (za, zb), cert)
-    except SearchExhaustedError as exc:
+    except (DenominatorSignUnknownError, SearchExhaustedError) as exc:
         witness = _counterexample(f, (za, zb), exc)
+        # the cleared form can be exactly zero at the midpoint, as a
+        # polynomial input can: a strict claim fails there, and a
+        # non-strict one is a tie the method cannot certify
+        if (witness is None and isinstance(exc, SearchExhaustedError)
+                and sign_at(f, mid) == 0):
+            if not ineq.strict:
+                print(
+                    f"undecided: both sides are exactly equal at "
+                    f"x = {mid * stretch}, and only strict positivity "
+                    f"is certified",
+                    file=sys.stderr,
+                )
+                return 2
+            witness = tie
         if witness is None:
-            # the reduced form can be exactly zero at the midpoint, as a
-            # polynomial input can: a strict claim fails there, and a
-            # non-strict one is a tie the method cannot certify
-            mid = (za + zb) / 2
-            if sign_at(f, mid) == 0:
-                if not ineq.strict:
-                    print(
-                        f"undecided: both sides are exactly equal at "
-                        f"x = {mid * stretch}, and only strict positivity "
-                        f"is certified",
-                        file=sys.stderr,
-                    )
-                    return 2
-                witness = NegativeWitness(x=mid, enclosure=RationalInterval.point(0))
-        if witness is None:
-            print(f"undecided: {exc}", file=sys.stderr)
-            return 2
+            raise
         return _print_disproof(witness, stretch, ns.json)
 
     if ns.cert:
@@ -486,6 +483,7 @@ def run(argv=None) -> int:
         return 3
     except (
         DenominatorSignUnknownError,
+        SearchExhaustedError,
         MonotonicityUnprovenError,
         BudgetExceededError,
         DegenerateInputError,

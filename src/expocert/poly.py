@@ -8,22 +8,21 @@ module, so every sign decision is exact.
 Deciding signs works on integers. A polynomial is first scaled by a
 positive rational to its primitive integer form; its value at ``n/d`` is
 taken homogeneously as ``d**deg * P(n/d)``, which has the sign of
-``P(n/d)``. ``sample_refutes``, ``descartes_positive``,
-``squarefree_part`` and ``SturmChain`` also take an integer list that
-stands for a positive multiple of a polynomial, as the prover holds its
-bounds.
+``P(n/d)``. ``is_positive_on``, ``sample_refutes``,
+``descartes_positive``, ``squarefree_part`` and ``SturmChain`` also take
+an integer list that stands for a positive multiple of a polynomial, as
+the prover holds its bounds.
 
 Descartes proves, Sturm verifies: two independent kernels decide P > 0.
 ``sample_refutes`` evaluates a polynomial at a few fixed rationals of an
 interval and reports a nonpositive interior value (or a negative endpoint
 value), which settles "not positive" at once. ``descartes_positive``,
-which the prover and ``is_positive_on`` call next, maps the interval onto
+which ``is_positive_on`` calls next, maps the interval onto
 (0, 1) and bisects it, counting sign variations by Descartes' rule on
 each piece and checking each piece's midpoint value exactly. The
 verifier counts roots with a Sturm chain of the squarefree part instead,
 which SturmChain finds without a separate gcd when x^k is P's only
-repeated factor. It stores only its members' integer lists; its ``poly``
-and ``chain`` are built from them each time they are read. The gcd and
+repeated factor. It stores only its members' integer lists. The gcd and
 the Sturm chain are both primitive pseudo-remainder sequences: each
 remainder is computed on integer coefficient lists after multiplying by a
 positive power of the divisor's leading coefficient, then reduced to its
@@ -379,9 +378,8 @@ class SturmChain:
     squarefree part of P. The members after the head are the head's
     derivative, then the negated remainders, each reduced to its primitive
     part, which only rescales by positive rationals and so changes no
-    signs. Only these integer lists are stored, in ``_ints``; ``poly`` (the
-    head) and ``chain`` (every member) are the same lists as polynomials,
-    built each time they are read.
+    signs. Only these integer lists are stored, in ``_ints``; ``chain``
+    gives the members as polynomials, built each time it is read.
     """
 
     __slots__ = ("_ints",)
@@ -397,26 +395,12 @@ class SturmChain:
         self._ints = ints
 
     @property
-    def poly(self) -> Polynomial:
-        return Polynomial(self._ints[0])
-
-    @property
     def chain(self) -> tuple[Polynomial, ...]:
         return tuple(Polynomial(m) for m in self._ints)
 
     def variations_at(self, t) -> int:
         t = _as_fraction(t)
-        count = 0
-        prev = 0
-        for member in self._ints:
-            v = _value(member, t)
-            if v == 0:
-                continue
-            s = 1 if v > 0 else -1
-            if prev != 0 and s != prev:
-                count += 1
-            prev = s
-        return count
+        return _sign_changes([_value(member, t) for member in self._ints])
 
     def roots_in_open(self, a, b) -> int:
         """Distinct roots in (a, b): those in (a, b], less a root at b."""
@@ -565,16 +549,18 @@ def descartes_positive(p: Polynomial | list[int], a, b) -> bool:
     return verdict
 
 
-def is_positive_on(p: Polynomial, a, b) -> bool:
+def is_positive_on(p: Polynomial | list[int], a, b) -> bool:
     """True iff p > 0 on the whole open interval (a, b).
 
-    Decided exactly: a sampled refutation settles False at once;
-    otherwise Descartes' rule of signs with bisection decides
+    p is a nonzero Polynomial, or an integer list that stands for a
+    positive multiple of one, as the prover holds its bounds. Decided
+    exactly: a sampled refutation (``sample_refutes``) settles False at
+    once; otherwise Descartes' rule of signs with bisection decides
     (``descartes_positive``). Zeros at the endpoints themselves are
     tolerated.
     """
-    if p.is_zero:
+    cs = _integer_coeffs(p) if isinstance(p, Polynomial) else p
+    if not cs:
         raise ZeroPolynomialError("positivity of the zero polynomial is degenerate")
     a, b = _check_open(a, b)
-    cs = _integer_coeffs(p)
     return not sample_refutes(cs, a, b) and descartes_positive(cs, a, b)

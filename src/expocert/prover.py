@@ -9,12 +9,12 @@ f(x) > P(x) there, except that a pure polynomial passes through exactly.
 If P > 0 is certified on the interval, f > 0 follows, and everything
 needed to re-check that conclusion is packaged as a Certificate.
 
-Descartes proves, Sturm verifies. The search decides P > 0 by exact
-samples and then Descartes' rule of signs with bisection
-(`descartes_positive`); the verifier rebuilds P from scratch in
-Fractions and decides it with a Sturm chain, so the two share no decision
-kernel. A certificate records no Sturm data: its v_a, v_b and
-endpoint_adjust are derived from its P when read.
+Descartes proves, Sturm verifies. The search decides P > 0 with
+`is_positive_on`: exact samples, then Descartes' rule of signs with
+bisection. The verifier rebuilds P from scratch in Fractions and decides
+it with a Sturm chain, so the two share no decision kernel. A certificate
+records no Sturm data: its v_a, v_b and endpoint_adjust are derived from
+its P when read.
 
 The search over Taylor orders is deliberately dumb: one shared depth l
 for every bounded unit, deepened until P is certified positive or the
@@ -22,17 +22,16 @@ depth budget runs out. Going from depth l - 1 to l adds only the next two
 Taylor terms of each unit, so each depth extends the last P rather than
 rebuilding it. P is held as integers over one positive denominator, the
 way FLINT's fmpq_poly holds a rational polynomial (`_IntegerBound`): the
-sample test, the Descartes test and the witness value all read that
-integer list, and a Polynomial of Fractions is built only for the
-certificate. Most depths fail, so each P first meets an exact sample test
-(`sample_refutes`): a nonpositive value at one of a few fixed interior
-rationals, or a negative endpoint value, rejects the depth at once, since
-such a P is not positive.
+positivity test and the witness value read that integer list. Most depths
+fail, and the sample test rejects most of them at once. The Certificate,
+with its P as a Polynomial of Fractions, is built once per proof, at the
+depth that passes.
 The root count that an exhausted search reports comes from a Sturm chain
 of its last P, and is taken on demand: only when the error's count or
 message is read, which a search that ends in a disproof never does. A
 greedy per-unit descent (`minimize_assignment`) can then shrink the
-orders, which tends to shrink deg P as well.
+orders, which tends to shrink deg P as well; it builds its Certificate
+once, after the descent.
 """
 
 from __future__ import annotations
@@ -51,15 +50,9 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
+from .expr import Node, parse_inequality, to_exp_rational
 from .mep import ExpRational, Mep, eval_enclosure, sign_at
-from .poly import (
-    Polynomial,
-    SturmChain,
-    _value,
-    descartes_positive,
-    is_positive_on,
-    sample_refutes,
-)
+from .poly import Polynomial, SturmChain, _value, is_positive_on
 from .taylor import maclaurin, select_order
 from .arith import RationalInterval
 
@@ -353,27 +346,21 @@ class _IntegerBound:
         return Polynomial([Fraction(c, den) for c in self.ints])
 
 
-def _attempt(
+def _attempt(bound: _IntegerBound, a: Fraction, b: Fraction) -> bool:
+    """P > 0 on (a, b) for the P of one assignment, decided on P's integer
+    list. A P that degenerates to the zero polynomial fails."""
+    return bool(bound.ints) and is_positive_on(bound.ints, a, b)
+
+
+def _certificate(
     f: Mep,
     interval: tuple[Fraction, Fraction],
     mode: str,
     assignment: tuple[AssignmentEntry, ...],
     bound: _IntegerBound,
-) -> Optional[Certificate]:
-    """Check the P of one assignment: samples, then Descartes' rule of
-    signs with bisection (descartes_positive takes P's integer list as it
-    is).
-
-    The caller builds P, extending the P it checked last, and keeps a
-    failing P for the diagnostics of an exhausted search. A P that
-    degenerates to the zero polynomial counts as a plain failure. The
-    rational P is built only for the certificate.
-    """
-    a, b = interval
-    ints = bound.ints
-    if not ints or sample_refutes(ints, a, b) or not descartes_positive(ints, a, b):
-        return None
-    mid = (a + b) / 2
+) -> Certificate:
+    """The certificate of an assignment whose P passed `_attempt`."""
+    mid = (interval[0] + interval[1]) / 2
     return Certificate(
         input=f"{f.text()} > 0",
         interval=interval,
@@ -410,9 +397,8 @@ def prove_positive(
     for l in depths:
         assignment = uniform_assignment(units, l)
         bound = bound.moved([e.theta for e in assignment])
-        cert = _attempt(f, (a, b), mode, assignment, bound)
-        if cert is not None:
-            return cert
+        if _attempt(bound, a, b):
+            return _certificate(f, (a, b), mode, assignment, bound)
         if bound.ints:
             last = bound.ints
     raise SearchExhaustedError(
@@ -456,8 +442,9 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
     Sweeps the units in index order, decrementing each unit's l as long
     as the proof still goes through, and repeats until a full sweep makes
     no change. P is kept beside the orders: each trial drops the two top
-    Taylor terms of one unit from it. Deterministic, locally minimal, not
-    guaranteed globally minimal.
+    Taylor terms of one unit from it. The certificate is built once, after
+    the descent; when no order drops, the seed itself is returned.
+    Deterministic, locally minimal, not guaranteed globally minimal.
     """
     a, b = _check_interval(interval)
     units, passthrough = bounding_units(f, interval, seed.mode)
@@ -467,7 +454,6 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
     bound = _IntegerBound.of(passthrough, units).moved(
         [e.theta for e in entries]
     )
-    best = seed
     changed = True
     while changed:
         changed = False
@@ -480,14 +466,14 @@ def minimize_assignment(f: Mep, interval, seed: Certificate) -> Certificate:
                 candidate = entries.copy()
                 candidate[i] = trial
                 lower = bound.moved([e.theta for e in candidate])
-                cert = _attempt(f, (a, b), seed.mode, tuple(candidate), lower)
-                if cert is None:
+                if not _attempt(lower, a, b):
                     break
                 entries[i] = trial
                 bound = lower
-                best = cert
                 changed = True
-    return best
+    if tuple(entries) == seed.assignment:
+        return seed
+    return _certificate(f, (a, b), seed.mode, tuple(entries), bound)
 
 
 def falsify(f: Union[Mep, ExpRational], interval) -> Optional[NegativeWitness]:
@@ -538,10 +524,9 @@ def verify_certificate_report(cert: Certificate) -> tuple[bool, str]:
     for bit. The first mismatch is reported; "ok" only when the
     re-derivation also implies f > 0. Positivity is decided here by Sturm
     chains alone, grouped units' signs included: nothing the prover
-    decides with (descartes_positive, sample_refutes) is called.
+    decides with (is_positive_on, with its samples and Descartes' rule)
+    is called.
     """
-    from .expr import parse_inequality, to_exp_rational
-
     try:
         a, b = cert.interval
         if not (isinstance(cert.mode, str) and cert.mode in (PER_TERM, GROUPED)):
@@ -554,8 +539,6 @@ def verify_certificate_report(cert: Certificate) -> tuple[bool, str]:
             raise MalformedCertificateError(f"input does not parse: {exc}") from exc
         if ast.cmp != ">":
             raise MalformedCertificateError("certificate input must use >")
-        from .expr import Node
-
         quotient, stretch = to_exp_rational(Node("sub", (ast.left, ast.right)))
         if stretch != 1 or quotient.denominator != Mep.constant(1):
             raise MalformedCertificateError("input is not in canonical MEP form")

@@ -78,6 +78,18 @@ def test_prove_identical_sides(capsys):
     assert "identical" in capsys.readouterr().out
     assert cli.run(["prove", "x >= x", "--on", "0,1"]) == 0
     assert "holds with equality" in capsys.readouterr().out
+    # under --json both verdicts are JSON: the strict one a disproof at the
+    # midpoint with an exact zero, in the schema of every other disproof
+    assert cli.run(["prove", "x*exp(-x) > x*exp(-x)", "--on", "0,1", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "disproven",
+        "witness": {"x": "1/2", "reduced_value": ["0", "0"]},
+    }
+    assert cli.run(["prove", "x*exp(-x) >= x*exp(-x)", "--on", "0,1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "result": "holds with equality",
+        "reason": "both sides of x*exp(-x) >= x*exp(-x) are identical",
+    }
 
 
 def test_prove_stretch_reduces_and_scales_witness(capsys):

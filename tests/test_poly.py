@@ -404,7 +404,7 @@ def test_sturm_chain_of_any_polynomial_against_sympy():
 
         want = sympy.sqf_part(to_sympy(p)).primitive()[1]
         want = Polynomial(list(reversed([F(str(v)) for v in want.all_coeffs()])))
-        assert chain.poly == (want if want.leading * p.leading > 0 else -want)
+        assert chain.chain[0] == (want if want.leading * p.leading > 0 else -want)
 
         reference = _rational_sturm_chain(_rational_squarefree(p))
         a, b = sorted(interval)

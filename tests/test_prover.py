@@ -260,6 +260,27 @@ def test_minimize_assignment():
     assert verify_certificate(small)
 
 
+def test_one_certificate_per_proof(monkeypatch, capsys):
+    # the search and the descent decide each level on integers: prove G
+    # --minimize builds one Certificate at the depth that passes and one
+    # after the descent, none for the levels in between
+    built = []
+    init = Certificate.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Certificate, "__init__", counting)
+    g = Mep(G_TERMS)
+    assert cli.run(["prove", f"{g.text()} > 0", "--on", "0,1", "--minimize"]) == 0
+    assert "theta = 6, term 1: theta = 6" in capsys.readouterr().out
+    assert len(built) == 2
+    # a descent that drops no order returns its seed itself
+    assert minimize_assignment(g, UNIT, built[-1]) is built[-1]
+    assert len(built) == 2
+
+
 def test_certificate_json_round_trip():
     cert = prove_positive(Mep(G_TERMS), UNIT)
     blob = json.dumps(cert.to_json_dict())
@@ -544,9 +565,8 @@ def test_descartes_proves_sturm_verifies(monkeypatch):
         certs = [prove_positive(g, UNIT, mode=mode) for mode in (PER_TERM, GROUPED)]
         certs.append(minimize_assignment(g, UNIT, certs[0]))
         assert is_positive_on(Polynomial([F(6), F(0), F(0), F(-1)]), *UNIT)
-    for module in (poly, prover):
-        monkeypatch.setattr(module, "descartes_positive", refuse)
-        monkeypatch.setattr(module, "sample_refutes", refuse)
+    monkeypatch.setattr(poly, "descartes_positive", refuse)
+    monkeypatch.setattr(poly, "sample_refutes", refuse)
     assert len(certs[1].assignment) == 3  # every q-group is one unit
     for cert in certs:
         assert verify_certificate_report(cert) == (True, "ok")
