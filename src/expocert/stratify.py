@@ -34,6 +34,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .arith import (
+    _ONE,
     ConstExpr,
     RationalInterval,
     _put,
@@ -566,6 +567,8 @@ def grid_check(
                 if len(den) > 1:
                     sgn = exp_sum_sign(num, eps, taus)
                     sgn *= sgn and exp_sum_sign(den, eps, taus)
+                elif den == _ONE:  # dividing by 1 moves neither value nor sign
+                    sgn = exp_sum_sign(num, eps, taus)
                 else:  # _sum_reciprocal raises on an exactly zero den
                     sgn = exp_sum_sign(_sum_mul(num, _sum_reciprocal(den)), eps, taus)
             except (LoweringError, BudgetExceededError):
