@@ -41,6 +41,7 @@ COMMANDS = [
     ["prove", "x^2 - x + 1/4 > 0", "--on", "0,1"],
     ["prove", "x^2 - x + 1/4 > 0", "--on", "0,1", "--json"],
     ["prove", "x^2 - x + 1/4 >= 0", "--on", "0,1"],
+    ["prove", "x^2 - 4/7*x + 4/49 - 1/1000000000 > 0", "--on", "0,1"],
     ["prove", "exp(-x) > 1 - x", "--on", "0,30", "--max-l", "40", "--json"],
     ["prove", "exp(-x) > 1 - x", "--on", "0,30"],
     ["prove", "exp(-x) > 1 - x", "--on", "0,30", "--max-l", "40", "--cert", "w.json"],
