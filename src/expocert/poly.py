@@ -425,6 +425,35 @@ def count_roots_open(p: Polynomial, a, b) -> int:
     return SturmChain(p).roots_in_open(a, b)
 
 
+def negative_point(p: Polynomial, a, b) -> Fraction | None:
+    """A rational x in (a, b) with p(x) < 0, or None when p >= 0 on (a, b).
+
+    The distinct roots are isolated by bisection with a Sturm chain, and
+    every piece's midpoint is evaluated exactly. A piece with no root
+    inside has the sign of its midpoint. One with a single root r keeps
+    the sign of a nonzero endpoint value up to r (it is continuous), so it
+    is settled once both endpoint values are positive; otherwise it is
+    halved, and since r lies strictly inside, a piece with no root on the
+    unknown side of r comes after finitely many halvings. Pieces with two
+    or more roots are halved until the roots are apart.
+    """
+    cs = _integer_coeffs(p)
+    if not cs:
+        raise ZeroPolynomialError("negative point of the zero polynomial")
+    a, b = _check_open(a, b)
+    chain = SturmChain(cs)
+    pieces = [(a, b)]
+    while pieces:
+        u, v = pieces.pop()
+        m = (u + v) / 2
+        if _value(cs, m) < 0:
+            return m
+        n = chain.roots_in_open(u, v)
+        if n > 1 or n == 1 and not (_value(cs, u) > 0 < _value(cs, v)):
+            pieces += [(m, v), (u, m)]
+    return None
+
+
 # sample_refutes tries a + (b - a) * k / SAMPLE_PARTS for 0 < k < SAMPLE_PARTS
 SAMPLE_PARTS = 17
 

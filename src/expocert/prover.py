@@ -52,7 +52,7 @@ from .errors import (
 )
 from .expr import Node, parse_inequality, to_exp_rational
 from .mep import ExpRational, Mep, eval_enclosure, sign_at
-from .poly import Polynomial, SturmChain, _value, is_positive_on
+from .poly import Polynomial, SturmChain, _value, is_positive_on, negative_point
 from .taylor import maclaurin, select_order
 from .arith import RationalInterval
 
@@ -480,24 +480,31 @@ def falsify(f: Union[Mep, ExpRational], interval) -> Optional[NegativeWitness]:
     """Look for a point where f is certifiably negative.
 
     Scans FALSIFY_SAMPLES equally spaced interior rationals left to right
-    and returns the first where the exact sign of f is negative, with an
+    and takes the first where the exact sign of f is negative. When the
+    scan finds none and f is a pure polynomial, its distinct roots are
+    isolated exactly and one rational in each stretch between them is
+    tested (poly.negative_point), so a negative stretch that falls
+    between the scanned points is found too. The witness carries an
     enclosure of width below FALSIFY_EPS, narrowed further until it lies
-    below zero. None means no disproof found (not a proof of positivity).
-    A quotient whose denominator is exactly zero at a scanned point raises
-    DenominatorSignUnknownError, as sign_at does.
+    below zero. None means no disproof found, which proves positivity
+    only for a pure polynomial. A quotient whose denominator is exactly
+    zero at a scanned point raises DenominatorSignUnknownError, as
+    sign_at does.
     """
     a, b = _check_interval(interval)
     step = (b - a) / (FALSIFY_SAMPLES + 1)
-    for i in range(1, FALSIFY_SAMPLES + 1):
-        x = a + i * step
-        if sign_at(f, x) < 0:
-            eps = FALSIFY_EPS
-            box = eval_enclosure(f, x, eps)
-            while box.hi >= 0:
-                eps *= eps
-                box = eval_enclosure(f, x, eps)
-            return NegativeWitness(x=x, enclosure=box)
-    return None
+    scan = (a + i * step for i in range(1, FALSIFY_SAMPLES + 1))
+    x = next((x for x in scan if sign_at(f, x) < 0), None)
+    if x is None and isinstance(f, Mep) and [q for q, _ in f.groups] == [0]:
+        x = negative_point(f.groups[0][1], a, b)
+    if x is None:
+        return None
+    eps = FALSIFY_EPS
+    box = eval_enclosure(f, x, eps)
+    while box.hi >= 0:
+        eps *= eps
+        box = eval_enclosure(f, x, eps)
+    return NegativeWitness(x=x, enclosure=box)
 
 
 # ---------------------------------------------------------------------------

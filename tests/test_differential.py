@@ -18,7 +18,9 @@ expocert. The shapes are:
   where the prover's sample points cannot see them, so that only its
   exact positivity test tells a true claim from a false one: a true one
   must be proved, a false one must not be. These are not drawn: every
-  root pair and margin is run.
+  root pair and margin is run. A false one is disproven wherever it is
+  negative somewhere, so at most the two whose only failure is a double
+  rational root (value zero, never negative) may stay undecided.
 
 Each claim is run plain, with --grouped or with --minimize. Every
 certificate must verify, and must stop verifying once one coefficient of
@@ -237,4 +239,4 @@ def test_verdicts_agree_with_the_oracle(tmp_path):
         _judge(tmp_path, tally, *case)
     print(f"differential gate: {tally}")
     assert tally["proved"] >= 25 and tally["disproven"] >= 20, tally
-    assert tally["undecided"] <= 40, tally
+    assert tally["undecided"] <= 2, tally

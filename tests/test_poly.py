@@ -14,6 +14,7 @@ from expocert.poly import (
     count_roots_open,
     descartes_positive,
     is_positive_on,
+    negative_point,
     poly_gcd,
     squarefree_part,
 )
@@ -252,6 +253,80 @@ def test_descartes_positive_against_sturm_and_sympy():
 
     check()
     assert 40 <= sum(verdicts) <= len(verdicts) - 40
+
+
+def test_negative_point_edges():
+    # x^2 - 4/7 x + 4/49 - 10^-9 is negative only within sqrt(10^-9) of
+    # 2/7, between the points of any coarse scan
+    p = P(F(4, 49) - F(1, 10**9), F(-4, 7), 1)
+    x = negative_point(p, F(0), F(1))
+    assert 0 < x < 1 and p(x) < 0
+    assert negative_point(p, F(2, 7) + F(1, 10**4), F(1)) is None
+    # nonnegative with rational and irrational double roots, and roots at
+    # both endpoints
+    assert negative_point(P(4, 0, -4, 0, 1), F(1), F(2)) is None  # (x^2 - 2)^2
+    assert negative_point(power(P(F(-2, 7), 1), 2), F(0), F(1)) is None
+    assert negative_point(P(0, -1, 1), F(0), F(1)) == F(1, 2)  # x (x - 1)
+    assert negative_point(P(0, 1, -1), F(0), F(1)) is None
+    # negative only next to an endpoint: p(b) < 0 with a root just inside
+    p = P(F(1, 10**6) - 1, 0, 1)  # roots +-sqrt(1 - 10^-6)
+    x = negative_point(p, F(1, 2), F(1))
+    assert F(1, 2) < x < 1 and p(x) < 0
+    with pytest.raises(ZeroPolynomialError):
+        negative_point(P(), F(0), F(1))
+    with pytest.raises(PreconditionError):
+        negative_point(P(1), F(1), F(0))
+
+
+def test_negative_point_against_sympy():
+    # P = lead * x^k * prod (x - r)^m * (x^2 - c)^n + shift, the shift
+    # opening or closing narrow stretches at the roots. By sympy's
+    # squarefree factorization P = C * O * S^2, with O the product of the
+    # factors of odd multiplicity; P < 0 somewhere on (a, b) exactly when
+    # O has a root inside or C * O is negative at the midpoint
+    pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings, strategies as st
+
+    sx = sympy.Symbol("x")
+    rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    found = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 3),
+        roots=st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=4),
+        quadratic=st.tuples(st.integers(-2, 5), st.integers(0, 2)),
+        lead=st.sampled_from([F(-2), F(1, 3), F(1), F(7, 2)]),
+        shift=st.sampled_from([F(0), F(1, 10**9), F(-1, 10**9), F(-1, 100)]),
+        ends=st.tuples(rationals, rationals).filter(lambda ab: ab[0] != ab[1]),
+    )
+    def check(k, roots, quadratic, lead, shift, ends):
+        c, n = quadratic
+        p = Polynomial.monomial(lead, k) * power(P(-c, 0, 1), n)
+        for r, m in roots:
+            p = p * power(P(-r, 1), m)
+        p = p + P(shift)
+        if p.is_zero:
+            return
+        a, b = sorted(ends)
+        q = sympy.Poly([sympy.Rational(v.numerator, v.denominator)
+                        for v in reversed(p.coeffs)], sx)
+        const, factors = q.sqf_list()
+        odd = sympy.Poly(const, sx)
+        for f, m in factors:
+            if m % 2:
+                odd = odd * f
+        inside = odd.count_roots(a, b) - (odd.eval(a) == 0) - (odd.eval(b) == 0)
+        negative = inside > 0 or odd.eval((a + b) / 2) < 0
+        x = negative_point(p, a, b)
+        assert (x is not None) == negative
+        if x is not None:
+            assert a < x < b and p(x) < 0
+        found.append(x is not None)
+
+    check()
+    assert 40 <= sum(found) <= len(found) - 40
 
 
 def _integer_list(p, scale):

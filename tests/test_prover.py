@@ -241,6 +241,12 @@ def test_falsify():
     assert w.enclosure.hi < 0
     assert F(0) < w.x < F(1)
     assert falsify(Mep(G_TERMS), UNIT) is None
+    # a pure polynomial negative only within sqrt(10^-9) of 2/7, between
+    # the 40 scanned points: its roots are isolated and the stretch found
+    quad = Mep([(1, 2, 0), (F(-4, 7), 1, 0), (F(4, 49) - F(1, 10**9), 0, 0)])
+    w = falsify(quad, UNIT)
+    assert abs(w.x - F(2, 7)) < F(1, 10**4) and w.enclosure.hi < 0
+    assert falsify(Mep([(1, 2, 0), (F(-4, 7), 1, 0), (F(4, 49), 0, 0)]), UNIT) is None
 
 
 def test_minimize_assignment():
