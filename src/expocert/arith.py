@@ -13,13 +13,16 @@ built only for the interval returned.
 
 A value taken at a rational point is an exact finite sum of rational
 multiples of e^s (ExpSum), or a quotient of two: an MEP at a point, a
-grid point's two sides, a constant in e (ConstExpr). Distinct e^s are
-linearly independent over Q, so such a sum is zero only when it has no
-terms. `lau_enclosure` encloses every sum through powers of one
-tau = e^(1/D) with 1/D <= 1, so a large |s| needs no high Maclaurin
-order, and computes on integer mantissas rounded outward; a caller that
-signs many sums, such as one grid command, passes it a table of the tau
-enclosures made so far, so each is made once; `exp_sum_sign`
+grid point's two sides, a constant in e (ConstExpr). Every exponent is
+held as an integer k over one denominator M that the sum's builder knows
+and passes along: x's denominator for an MEP at x, 1 for a constant in
+e, one M per grid command. Distinct e^s are linearly independent over Q,
+so such a sum is zero only when it has no terms. `lau_enclosure`
+encloses every sum through powers of one tau = e^(1/D), with D = M over
+the gcd of M and the keys, so 1/D <= 1 and a large |s| needs no high
+Maclaurin order; it computes on integer mantissas rounded outward. A
+caller that signs many sums, such as one grid command, passes it a table
+of the tau enclosures made so far, so each is made once. `exp_sum_sign`
 reads the sign of a one-signed sum off its coefficients and otherwise
 tightens the enclosure until it clears zero, down to a width floor, and
 `quotient_enclosure` divides two.
@@ -29,14 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from operator import add
-from typing import Iterable
 
 from .errors import (
     BudgetExceededError,
     DivisionByPossiblyZeroError,
-    LoweringError,
     PreconditionError,
 )
 from .poly import Polynomial, _as_fraction, poly_gcd
@@ -186,16 +187,20 @@ def exp_enclosure(s, eps) -> RationalInterval:
 # ---------------------------------------------------------------------------
 # sums of rational multiples of e^s
 #
-# A sum is a dict {s: c} with rational s, meaning sum c * e^s. Such sums
-# come up whenever a value is taken at an exact rational point: every
-# exp(.) collapses onto one e^s, so the value (and the difference of two
-# sides) is a finite sum whose exact vanishing is read off the dict and
-# whose sign is read off an enclosure of a single e^(1/D). Zero
-# coefficients are never stored, so {} is exactly zero.
+# A sum is a dict {k: c} with integer keys k, meaning sum c * e^(k/M) for
+# the denominator M > 0 that its builder fixed and every reader is passed
+# with it. Such sums come up whenever a value is taken at an exact
+# rational point: every exp(.) collapses onto one e^s, so the value (and
+# the difference of two sides) is a finite sum whose exact vanishing is
+# read off the dict and whose sign is read off an enclosure of a single
+# e^(1/D). The coefficients are rationals, int or Fraction; the grid
+# keeps them as integers and passes one positive denominator q per sum,
+# so the value is (1/q) * sum c * e^(k/M). Zero coefficients are never
+# stored, so {} is exactly zero.
 
 ExpSum = dict
 
-_ONE: ExpSum = {Fraction(0): Fraction(1)}
+_ONE: ExpSum = {0: Fraction(1)}
 
 # exp_sum_sign tries widths 2^-16, 2^-32, ... down to 2^-SIGN_BITS_CAP by default
 SIGN_BITS_CAP = 2048
@@ -242,7 +247,7 @@ def _sum_mul(a: dict, b: dict, join=add) -> dict:
 
 def _sum_pow(a: ExpSum, k: int) -> ExpSum:
     """a**k for an integer k >= 0, by squaring."""
-    out: ExpSum = {Fraction(0): Fraction(1)}
+    out: ExpSum = {0: 1}
     while k:
         if k & 1:
             out = _sum_mul(out, a)
@@ -250,21 +255,6 @@ def _sum_pow(a: ExpSum, k: int) -> ExpSum:
         if k:
             a = _sum_mul(a, a)
     return out
-
-
-def _sum_reciprocal(b: ExpSum) -> ExpSum:
-    """1/b, exact only for a single term c*e^s."""
-    if not b:
-        raise LoweringError("division by exact zero at this point")
-    if len(b) > 1:
-        raise LoweringError("division by a sum of exponentials is not exact")
-    ((k, c),) = b.items()
-    return {-k: 1 / c}
-
-
-def _common_denominator(rationals: Iterable[Fraction]) -> int:
-    """Least D > 0 with every r*D an integer."""
-    return lcm(1, *(r.denominator for r in rationals))
 
 
 def _mantissa_pow(lo: int, hi: int, k: int, bits: int) -> tuple[int, int]:
@@ -287,15 +277,21 @@ def _mantissa_pow(lo: int, hi: int, k: int, bits: int) -> tuple[int, int]:
     return acc_lo, acc_hi
 
 
-def lau_enclosure(a: ExpSum, eps, taus: dict | None = None) -> RationalInterval:
-    """Enclose sum c * e^s to width < eps.
+def lau_enclosure(
+    a: ExpSum, m: int, eps, taus: dict | None = None, q: int = 1
+) -> RationalInterval:
+    """Enclose (1/q) * sum c * e^(k/m) to width < eps, for q > 0.
 
-    With D the common denominator of the exponents, every e^s is an
-    integer power of tau = e^(1/D), so one enclosure of tau serves all
-    terms; it and the working precision tighten together until the sum
-    is narrow enough. Each round runs on integer mantissas over 2**bits:
-    tau, its powers and each term c * tau^k are rounded outward (floor
-    for the lower end, ceiling for the upper), then summed as ints.
+    With g the gcd of m and every key, D = m // g is the least common
+    denominator of the exponents k/m, and e^(k/m) is the integer power
+    k // g of tau = e^(1/D), so one enclosure of tau serves all terms;
+    it and the working precision tighten together until the sum is
+    narrow enough. Each round runs on integer mantissas over 2**bits:
+    tau, its powers and each term c * tau^k / q are rounded outward
+    (floor for the lower end, ceiling for the upper), then summed as
+    ints. A term's rounding depends only on its rational value, so the
+    same sum over any m, with its coefficients over any q, gives the same
+    interval.
 
     `taus`, if given, is a table of the tau enclosures already made,
     keyed by (D, width): a caller that signs many sums, as grid_check
@@ -306,11 +302,17 @@ def lau_enclosure(a: ExpSum, eps, taus: dict | None = None) -> RationalInterval:
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     if set(a) <= {0}:  # no e^s with s != 0: the value is exact
-        return RationalInterval.point(a.get(0, 0))
-    if taus is None:
-        taus = {}
-    denom = _common_denominator(a)
-    powers = [(int(s * denom), c.numerator, c.denominator) for s, c in a.items()]
+        return RationalInterval.point(Fraction(a.get(0, 0), q))
+    lo, hi, bits = _lau_mantissas(a, m, eps, {} if taus is None else taus, q)
+    return RationalInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+
+
+def _lau_mantissas(a: ExpSum, m: int, eps: Fraction, taus: dict, q: int):
+    """lau_enclosure's interval as integer mantissas (lo, hi) over
+    2**bits, and bits, for a sum with some key k != 0."""
+    g = gcd(m, *a)
+    denom = m // g
+    powers = [(k // g, c.numerator, c.denominator * q) for k, c in a.items()]
     # seed the schedule from the target: the first tau needs roughly the
     # requested precision already, and the working precision must exceed
     # -log2(eps) or outward rounding alone would defeat the tightening
@@ -330,17 +332,20 @@ def lau_enclosure(a: ExpSum, eps, taus: dict | None = None) -> RationalInterval:
             lo_sum += p_lo * n // d
             hi_sum -= -p_hi * n // d
         if (hi_sum - lo_sum) * eps.denominator < eps.numerator << bits:
-            one = 1 << bits
-            return RationalInterval(Fraction(lo_sum, one), Fraction(hi_sum, one))
+            return lo_sum, hi_sum, bits
         tau_eps /= 1 << 12
         bits += 48
     raise BudgetExceededError("exponential sum enclosure did not converge")
 
 
 def exp_sum_sign(
-    a: ExpSum, eps=Fraction(1, 1 << SIGN_BITS_CAP), taus: dict | None = None
+    a: ExpSum,
+    m: int,
+    eps=Fraction(1, 1 << SIGN_BITS_CAP),
+    taus: dict | None = None,
+    q: int = 1,
 ) -> int:
-    """Exact sign of sum c * e^s: 0 for {} and only for {}.
+    """Exact sign of (1/q) * sum c * e^(k/m): 0 for {} and only for {}.
 
     Every e^s is positive, so coefficients of one sign give the sign
     outright, however small the value. Otherwise distinct e^s are linearly
@@ -348,7 +353,7 @@ def exp_sum_sign(
     nonzero and a narrow enough lau_enclosure clears zero. The width
     starts at 2^-16 and is squared while it stays above eps, then eps is
     tried; a mixed-sign value no width down to eps signs raises
-    BudgetExceededError. `taus` is passed on to lau_enclosure.
+    BudgetExceededError. m, `taus` and q are passed on to lau_enclosure.
     """
     if not a:
         return 0
@@ -357,12 +362,15 @@ def exp_sum_sign(
     if all(c < 0 for c in a.values()):
         return -1
     eps = _as_fraction(eps)
+    if taus is None:
+        taus = {}
     bits = 16
     while True:
         width = max(Fraction(1, 1 << bits), eps)
-        sgn = lau_enclosure(a, width, taus).definite_sign()
-        if sgn:
-            return sgn
+        # the sign of lau_enclosure's interval, read off its mantissas
+        lo, hi, _ = _lau_mantissas(a, m, width, taus, q)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
         if width == eps:
             break
         bits *= 2
@@ -372,8 +380,8 @@ def exp_sum_sign(
     )
 
 
-def quotient_enclosure(num: ExpSum, den: ExpSum, eps) -> RationalInterval:
-    """Enclose (sum num) / (sum den) to width < eps.
+def quotient_enclosure(num: ExpSum, den: ExpSum, m: int, eps) -> RationalInterval:
+    """Enclose (sum num) / (sum den) to width < eps, both keyed over m.
 
     The working width shrinks until den's enclosure clears zero, then by
     the factor the quotient missed eps by. An exactly zero den raises
@@ -384,11 +392,11 @@ def quotient_enclosure(num: ExpSum, den: ExpSum, eps) -> RationalInterval:
         raise DivisionByPossiblyZeroError("division by an exact zero")
     eps = delta = _as_fraction(eps)
     while True:
-        d = lau_enclosure(den, delta)
+        d = lau_enclosure(den, m, delta)
         if not d.definite_sign():
             delta /= 1 << 8
             continue
-        box = lau_enclosure(num, delta) / d
+        box = lau_enclosure(num, m, delta) / d
         if box.width < eps:
             return box
         delta /= 2 << int(box.width / eps).bit_length()
@@ -407,7 +415,7 @@ def _e_poly(a: ExpSum) -> Polynomial:
 @dataclass(frozen=True, eq=False)
 class ConstExpr:
     """A rational function of e, held exactly as a quotient num/den of two
-    sums over integer powers of e (ExpSum dicts with exponents >= 0).
+    sums over integer powers of e (ExpSum dicts over M = 1, keys >= 0).
 
     expr.to_const builds one from an expression; +, - and / combine the
     pairs by the fraction rules, without reduction. A sum is zero exactly
@@ -426,7 +434,7 @@ class ConstExpr:
     @classmethod
     def rational(cls, q) -> "ConstExpr":
         q = _as_fraction(q)
-        return cls({Fraction(0): q} if q else {}, _ONE)
+        return cls({0: q} if q else {}, _ONE)
 
     @staticmethod
     def _coerce(v) -> "ConstExpr":
@@ -475,13 +483,13 @@ class ConstExpr:
 
     def sign(self) -> int:
         num, den = self._checked()
-        return exp_sum_sign(num) * exp_sum_sign(den)
+        return exp_sum_sign(num, 1) * exp_sum_sign(den, 1)
 
     # numeric view --------------------------------------------------------
 
     def enclosure(self, eps) -> RationalInterval:
         """Certified enclosure of width < eps."""
-        return quotient_enclosure(*self._checked(), eps)
+        return quotient_enclosure(*self._checked(), 1, eps)
 
     # display --------------------------------------------------------------
 

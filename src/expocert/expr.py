@@ -24,8 +24,10 @@ of sparse sums over monomials x^i * a^j * exp(linear form), and den
 vanishes wherever a divisor in the tree is zero or undefined. Three
 readings follow. `lower_grid` and `exp_sum_at` evaluate it at each
 rational grid point into two exact finite sums of rational multiples of
-e^s, which `arith` signs. `to_const` (no variables) reads it at the
-origin as a constant in e that `arith` signs and encloses.
+e^s, held on integers: keys over one exponent denominator M that the
+caller fixes, coefficients over one denominator per sum; `arith` signs
+them. `to_const` (no variables) reads it at the origin as a constant in
+e that `arith` signs and encloses.
 `to_exp_rational` (variable x) multiplies it out into the quotient of
 mixed exponential polynomials the prover works on, stretching x by the
 shared `mep` substitution when exponential rates are fractional.
@@ -578,12 +580,16 @@ def to_const(node: Node) -> ConstExpr:
     names = variables(node)
     if names:
         raise LoweringError(f"variable {min(names)!r} in a constant expression")
-    num, den = exp_sum_at(lower_grid(node), Fraction(0), Fraction(0))
-    for s in (*num, *den):
-        if s.denominator != 1:
-            raise LoweringError(f"exp({s}) is not an integer power of e")
-    low = min((0, *num, *den))
-    return ConstExpr(*({s - low: c for s, c in p.items()} for p in (num, den)))
+    form = lower_grid(node)
+    m = form.exp_den
+    sums = exp_sum_at(form, Fraction(0), Fraction(0), m)
+    keys = [k for p, _ in sums for k in p]
+    for k in keys:
+        if k % m:
+            raise LoweringError(f"exp({Fraction(k, m)}) is not an integer power of e")
+    low = min((0, *keys)) // m
+    return ConstExpr(*({k // m - low: Fraction(c, q) for k, c in p.items()}
+                       for p, q in sums))
 
 
 _RawTerms = list  # [(alpha, p, q)] for alpha * x^p * exp(-q*x), q rational
@@ -648,11 +654,15 @@ def to_exp_rational(node: Node) -> tuple[ExpRational, int]:
 # the two-parameter grid: integers at each point
 #
 # At a rational point every exp(form) collapses to e^s with rational s,
-# so each side becomes an exact finite sum {s: c} (arith.ExpSum). The
-# monomials of a sum are grouped by their integer form, and each group's
-# coefficients are stored on integers over one scale, so at x = px/qx,
-# a = pa/qa its coefficient is a single integer sum over
-# scale * qx^I * qa^J, and its exponent one integer over L * qx * qa.
+# so each side becomes an exact finite sum (arith.ExpSum) held wholly on
+# integers. Each exponent (l0 + lx*x + la*a + lxa*x*a)/L at x = px/qx,
+# a = pa/qa is an integer over L * qx * qa, and the caller fixes one M
+# that all of those divide for every point it asks for (exp_denominator),
+# so every key is an integer over M. The monomials of a sum are grouped
+# by their integer form, and all of one sum's coefficients are integers
+# over one scale, so at the point a group's coefficient is a single
+# integer over scale * qx^I * qa^J; products, powers and sums of sums
+# carry one positive integer denominator each.
 
 
 @dataclass(frozen=True)
@@ -665,21 +675,23 @@ class GridForm:
     signs: tuple  # ((num, den), ...), each argument after those it uses
     x_powers: frozenset  # the powers i of x and j of a that occur
     a_powers: frozenset
+    exp_den: int  # the lcm of the denominators L of the exp forms
 
 
 def lower_grid(node: Node) -> GridForm:
     """Lower a tree in x and a once, for exp_sum_at at every grid point."""
     signs: list = []
     quotient = _lower(node, signs, {})
-    powers = (set(), set())
+    powers = (set(), set(), {1})
     pairs = [tuple(_compile(p, powers) for p in pair) for pair in [*signs, quotient]]
-    return GridForm(*pairs[-1], tuple(pairs[:-1]), *map(frozenset, powers))
+    return GridForm(*pairs[-1], tuple(pairs[:-1]), *map(frozenset, powers[:2]),
+                    lcm(*powers[2]))
 
 
 def _compile(p, powers: tuple):
-    """Replace each sum by its groups ((s or None, form, scale, monomials),
-    ...): the monomials of one form, with integer coefficients over one
-    scale; s is the exponent when it is constant."""
+    """Replace each sum by ("sum", scale, ((form, monomials), ...)): its
+    monomials grouped by form, with integer coefficients over the sum's
+    one scale. powers collects the powers of x and a and the forms' L."""
     if not isinstance(p, dict):
         return (p[0], *(_compile(c, powers) if isinstance(c, (dict, tuple)) else c
                         for c in p[1:]))
@@ -688,19 +700,33 @@ def _compile(p, powers: tuple):
         by_form.setdefault(form, []).append((c, i, j, sg))
         powers[0].add(i)
         powers[1].add(j)
-    groups = []
-    for form, monos in by_form.items():
-        scale = lcm(*(c.denominator for c, *_ in monos))
-        monos = tuple((c.numerator * (scale // c.denominator), i, j, sg)
-                      for c, i, j, sg in monos)
-        const = Fraction(form[0], form[4]) if not any(form[1:4]) else None
-        groups.append((const, form, scale, monos))
-    return ("sum", tuple(groups))
+        powers[2].add(form[4])
+    scale = lcm(*(c.denominator for c in p.values()))
+    groups = tuple(
+        (form, tuple((c.numerator * (scale // c.denominator), i, j, sg)
+                     for c, i, j, sg in monos))
+        for form, monos in by_form.items()
+    )
+    return ("sum", scale, groups)
 
 
-def exp_sum_at(form: GridForm, x: Fraction, a: Fraction) -> tuple[ExpSum, ExpSum]:
-    """(num, den) of a lowered tree at the rational point (x, a), each an
-    exact sum {s: c} of c * e^s.
+def exp_denominator(form: GridForm, xs, as_) -> int:
+    """An M that puts every exponent of form at every point of xs x as_
+    over M as an integer: the forms' L times the lcm of the x
+    denominators times that of the a denominators. An exponent at
+    (px/qx, pa/qa) is an integer over L * qx * qa, and only the product
+    is a multiple of that for every point."""
+    return (form.exp_den * lcm(*(x.denominator for x in xs))
+            * lcm(*(a.denominator for a in as_)))
+
+
+def exp_sum_at(
+    form: GridForm, x: Fraction, a: Fraction, m: int
+) -> tuple[tuple[ExpSum, int], tuple[ExpSum, int]]:
+    """(num, den) of a lowered tree at the rational point (x, a), each a
+    pair (sum, q): the exact value (1/q) * sum c * e^(k/m), with integer
+    keys k and coefficients c and q > 0. m must put every exponent at
+    this point over m as an integer, as exp_denominator's does.
 
     Raises LoweringError when a sign(...) argument divides by zero here.
     """
@@ -711,7 +737,7 @@ def exp_sum_at(form: GridForm, x: Fraction, a: Fraction) -> tuple[ExpSum, ExpSum
         {i: px**i * qx ** (xi - i) for i in form.x_powers},
         {j: pa**j * qa ** (aj - j) for j in form.a_powers},
         qx**xi * qa**aj,
-        (qq, px * qa, pa * qx, px * pa),
+        (qq, px * qa, pa * qx, px * pa, m // qq),
         [],
     )
     for n, d in form.signs:
@@ -723,7 +749,7 @@ def exp_sum_at(form: GridForm, x: Fraction, a: Fraction) -> tuple[ExpSum, ExpSum
 
 
 def _acc(monos, ctx) -> int:
-    """A group's coefficient at the point, times L * qx^I * qa^J."""
+    """A group's coefficient at the point, times scale * qx^I * qa^J."""
     xs, as_, _, _, sv = ctx
     acc = 0
     for n, i, j, sg in monos:
@@ -735,24 +761,27 @@ def _acc(monos, ctx) -> int:
 
 def _sign(p, ctx) -> int:
     """Sign of an exp-free side at the point."""
-    v = _at(p, ctx).get(0, 0)
+    v = _at(p, ctx)[0].get(0, 0)
     return (v > 0) - (v < 0)
 
 
-def _at(p, ctx) -> ExpSum:
+def _at(p, ctx) -> tuple[ExpSum, int]:
     kind = p[0]
-    if kind == "mul":
-        return _sum_mul(_at(p[1], ctx), _at(p[2], ctx))
     if kind == "pow":
-        return _sum_pow(_at(p[1], ctx), p[2])
-    if kind == "add":
-        return _sum_add(_at(p[1], ctx), _at(p[2], ctx), 1)
-    _, _, den, (qq, pxqa, paqx, pxpa), _ = ctx
+        u, q = _at(p[1], ctx)
+        return _sum_pow(u, p[2]), q ** p[2]
+    if kind != "sum":
+        (u, qu), (v, qv) = _at(p[1], ctx), _at(p[2], ctx)
+        if kind == "mul":
+            return _sum_mul(u, v), qu * qv
+        q = lcm(qu, qv)  # add over the common denominator
+        if q != qu:
+            u = {k: c * (q // qu) for k, c in u.items()}
+        return _sum_add(u, v, q // qv), q
+    _, _, den, (qq, pxqa, paqx, pxpa, mq), _ = ctx
     out: ExpSum = {}
-    for const, (l0, lx, la, lxa, ld), scale, monos in p[1]:
+    for (l0, lx, la, lxa, ld), monos in p[2]:
         acc = _acc(monos, ctx)
         if acc:
-            if const is None:
-                const = Fraction(l0 * qq + lx * pxqa + la * paqx + lxa * pxpa, ld * qq)
-            _put(out, const, Fraction(acc, scale * den))
-    return out
+            _put(out, (l0 * qq + lx * pxqa + la * paqx + lxa * pxpa) * (mq // ld), acc)
+    return out, p[1] * den

@@ -22,22 +22,24 @@ in the same variable (`expr.to_exp_rational` and
 `stratify.substitute_alpha` both go through it). Both moves preserve
 positivity on the matching interval.
 
-At a rational point x an MEP is the exact sum {-q*x: c_q(x)} of rational
-multiples of e^s (`arith.ExpSum`), so `eval_enclosure` and `sign_at` hand
-that sum, or a quotient of two, to the one evaluator in `arith`.
+At a rational point x = p/r an MEP is the exact sum of c_q(x) * e^(-q*x)
+over its groups, held by `arith` as the integer-keyed sum {-q*p: c_q(x)}
+over the exponent denominator r (`arith.ExpSum`), so `eval_enclosure` and
+`sign_at` hand that sum, or a quotient of two, with r to the one
+evaluator in `arith`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 from .arith import (
     _ONE,
     ExpSum,
     RationalInterval,
-    _common_denominator,
     _put,
     exp_sum_sign,
     quotient_enclosure,
@@ -181,7 +183,7 @@ def _stretch(groups) -> tuple[int, list[list[tuple[Fraction, int, int]]]]:
     becomes (a/v, b/v). q keeps its sign: the results are raw terms for
     `normalize` or `Mep`.
     """
-    v = _common_denominator(q for terms in groups for _, _, q in terms)
+    v = lcm(1, *(q.denominator for terms in groups for _, _, q in terms))
     return v, [
         [(a * v**p if v > 1 else a, p, q.numerator * (v // q.denominator))
          for a, p, q in terms]
@@ -195,36 +197,39 @@ def differentiate_quotient(f: ExpRational) -> ExpRational:
     return ExpRational(n.differentiate() * d - n * d.differentiate(), d * d)
 
 
-def _value_sum(f: Mep, x: Fraction) -> ExpSum:
-    """f(x) written exactly as the sum {-q*x: c_q(x)} of rational
-    multiples of e^s."""
+def _value_sum(f: Mep, x: Fraction, m: int) -> ExpSum:
+    """f(x) written exactly as a sum of rational multiples of e^(k/m),
+    for m a multiple of x's denominator: {-q*x*m: c_q(x)}."""
+    step = x.numerator * (m // x.denominator)
     out: ExpSum = {}
     for q, c in f.groups:
-        _put(out, -q * x, c.eval(x))
+        _put(out, -q * step, c.eval(x))
     return out
 
 
-def _sums_at(f: Union[Mep, ExpRational], x) -> tuple[ExpSum, ExpSum]:
-    """f(x), x rational, as an exact quotient num/den of such sums; an MEP
-    has den = 1. A denominator that is exactly zero at x raises
-    DenominatorSignUnknownError."""
+def _sums_at(f: Union[Mep, ExpRational], x) -> tuple[ExpSum, ExpSum, int]:
+    """f(x), x rational, as an exact quotient num/den of such sums over
+    m = x's denominator, and m; an MEP has den = 1. A denominator that is
+    exactly zero at x raises DenominatorSignUnknownError."""
     x = Fraction(x)
+    m = x.denominator
     if isinstance(f, Mep):
-        return _value_sum(f, x), _ONE
-    den = _value_sum(f.denominator, x)
+        return _value_sum(f, x, m), _ONE, m
+    den = _value_sum(f.denominator, x, m)
     if not den:
         raise DenominatorSignUnknownError(f"denominator is exactly zero at x = {x}")
-    return _value_sum(f.numerator, x), den
+    return _value_sum(f.numerator, x, m), den, m
 
 
 def eval_enclosure(f: Union[Mep, ExpRational], x, eps) -> RationalInterval:
     """Certified enclosure of f(x) with width < eps, x rational, by
     quotient_enclosure of the sums of `_sums_at`."""
-    return quotient_enclosure(*_sums_at(f, x), eps)
+    num, den, m = _sums_at(f, x)
+    return quotient_enclosure(num, den, m, eps)
 
 
 def sign_at(f: Union[Mep, ExpRational], x) -> int:
     """Exact sign of f(x), x rational: 0 only for an exact zero. Errors as
     in eval_enclosure, plus exp_sum_sign's BudgetExceededError."""
-    num, den = _sums_at(f, x)
-    return exp_sum_sign(num) * exp_sum_sign(den)
+    num, den, m = _sums_at(f, x)
+    return exp_sum_sign(num, m) * exp_sum_sign(den, m)

@@ -33,14 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from math import lcm
+
 from .arith import (
-    _ONE,
     ConstExpr,
     RationalInterval,
     _put,
     _sum_add,
     _sum_mul,
-    _sum_reciprocal,
     exp_sum_sign,
 )
 from .errors import (
@@ -51,7 +51,7 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from .expr import InequalityAst, Node, exp_sum_at, lower_grid
+from .expr import InequalityAst, Node, exp_denominator, exp_sum_at, lower_grid
 from .mep import ExpRational, Mep, _stretch, _value_sum, differentiate_quotient
 from .poly import _power, _signed_sum
 from .prover import (
@@ -137,15 +137,17 @@ def _check_endpoint(f: ExpRational, at: Fraction, claimed: ConstExpr) -> None:
     independent over Q.
     """
     num, den = f.numerator, f.denominator
-    n, d = _value_sum(num, at), _value_sum(den, at)
+    m = at.denominator
+    n, d = _value_sum(num, at, m), _value_sum(den, at, m)
     while not d:
         if n:
             raise EndpointValidationError(
                 f"f has a pole at x = {at}, so it does not tend to {claimed.text()}"
             )
         num, den = num.differentiate(), den.differentiate()
-        n, d = _value_sum(num, at), _value_sum(den, at)
-    c_num, c_den = claimed._checked()
+        n, d = _value_sum(num, at, m), _value_sum(den, at, m)
+    # the claimed sums are keyed over 1: put them over m as well
+    c_num, c_den = ({k * m: c for k, c in p.items()} for p in claimed._checked())
     if _sum_add(_sum_mul(n, c_den), _sum_mul(c_num, d), -1):
         raise EndpointValidationError(f"f does not tend to {claimed.text()} at x = {at}")
 
@@ -400,12 +402,14 @@ def _member_sign_evidence(
     step = (hi - lo) / (EVIDENCE_SAMPLES + 1)
     for i in range(1, EVIDENCE_SAMPLES + 1):
         z = lo + i * step
-        value = _value_sum(sub.pure, z)
+        m = lcm(z.denominator, *(w.denominator for w, _ in sub.offsets))
+        value = _value_sum(sub.pure, z, m)
         for w, mep in sub.offsets:
-            shifted = {s - w: c for s, c in _value_sum(mep, z).items()}
+            shift = w.numerator * (m // w.denominator)
+            shifted = {k - shift: c for k, c in _value_sum(mep, z, m).items()}
             value = _sum_add(value, shifted, 1)
         try:
-            sgn = exp_sum_sign(value)
+            sgn = exp_sum_sign(value, m)
         except BudgetExceededError:
             return False, f"enclosure budget exhausted at z = {z}"
         if sgn < 0:
@@ -555,6 +559,7 @@ def grid_check(
     want_less = ineq.cmp in ("<", "<=")
 
     form = lower_grid(Node("sub", (ineq.left, ineq.right)))
+    m = exp_denominator(form, xs, as_)  # every exponent of the command over m
     taus: dict = {}  # the e^(1/D) enclosures of this command, for lau_enclosure
 
     holds: list[tuple[Fraction, Fraction]] = []
@@ -563,14 +568,7 @@ def grid_check(
     for xv in xs:
         for av in as_:
             try:
-                num, den = exp_sum_at(form, xv, av)
-                if len(den) > 1:
-                    sgn = exp_sum_sign(num, eps, taus)
-                    sgn *= sgn and exp_sum_sign(den, eps, taus)
-                elif den == _ONE:  # dividing by 1 moves neither value nor sign
-                    sgn = exp_sum_sign(num, eps, taus)
-                else:  # _sum_reciprocal raises on an exactly zero den
-                    sgn = exp_sum_sign(_sum_mul(num, _sum_reciprocal(den)), eps, taus)
+                sgn = _point_sign(*exp_sum_at(form, xv, av, m), m, eps, taus)
             except (LoweringError, BudgetExceededError):
                 undecided.append((xv, av))
                 continue
@@ -585,3 +583,23 @@ def grid_check(
         fails_at=tuple(fails),
         undecided_at=tuple(undecided),
     )
+
+
+def _point_sign(num: tuple, den: tuple, m: int, eps: Fraction, taus: dict) -> int:
+    """Sign of num/den at one grid point, each side a pair (sum, q) over m
+    as exp_sum_at gives it. A single-term den c/q * e^(k/m) divides
+    exactly, on integers: the quotient has coefficients n * q * sign(c)
+    over q_num * |c| and keys shifted by -k; a den of exactly 1 is
+    skipped. A den of several terms gives sign(num) * sign(den); an
+    exactly zero one raises LoweringError."""
+    (n, qn), (d, qd) = num, den
+    if len(d) > 1:
+        sgn = exp_sum_sign(n, m, eps, taus, qn)
+        return sgn and sgn * exp_sum_sign(d, m, eps, taus, qd)
+    if not d:
+        raise LoweringError("division by exact zero at this point")
+    ((k, c),) = d.items()
+    if k or c != qd:
+        f = qd if c > 0 else -qd
+        n, qn = {j - k: v * f for j, v in n.items()}, qn * abs(c)
+    return exp_sum_sign(n, m, eps, taus, qn)

@@ -3,19 +3,17 @@
 import random
 from fractions import Fraction as F
 from itertools import islice
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from expocert.arith import (
     ConstExpr,
     RationalInterval,
-    _common_denominator,
     _mantissa_pow,
     _put,
     _sum_add,
     _sum_mul,
-    _sum_reciprocal,
     decimal_str,
     enclose_exp_neg,
     exp_enclosure,
@@ -241,59 +239,66 @@ def test_const_expr_text_round_shape():
     assert ConstExpr.rational(F(1, 12)).text() == "1/12"
 
 
+def over_m(a: dict) -> tuple[dict, int]:
+    """A sum keyed by rational exponents s, {s: c}, as the integer-keyed
+    sum over the least M that puts every s over it: ({s*M: c}, M)."""
+    m = lcm(1, *(s.denominator for s in a))
+    return {s.numerator * (m // s.denominator): c for s, c in a.items()}, m
+
+
 def test_lau_helpers():
-    a = {F(1): F(2)}  # 2 e
-    assert _sum_add(a, {F(1): F(-2)}, 1) == {}  # cancellation drops the key
+    a = {1: F(2)}  # 2 e
+    assert _sum_add(a, {1: F(-2)}, 1) == {}  # cancellation drops the key
     assert _sum_add(a, a, -1) == {}
-    assert _sum_add(a, {F(0): F(3)}, -1) == {F(1): F(2), F(0): F(-3)}
+    assert _sum_add(a, {0: F(3)}, -1) == {1: F(2), 0: F(-3)}
     # _put adds by value: the very object stored at a key counts twice
     c = F(2, 3)
-    out = {F(1): c}
-    _put(out, F(1), c)
-    assert out == {F(1): F(4, 3)}
-    _put(out, F(1), F(-4, 3))  # the opposite value drops the key
+    out = {1: c}
+    _put(out, 1, c)
+    assert out == {1: F(4, 3)}
+    _put(out, 1, F(-4, 3))  # the opposite value drops the key
     assert out == {}
-    _put(out, F(2), F(0))  # a zero at a new key stores nothing
+    _put(out, 2, F(0))  # a zero at a new key stores nothing
     assert out == {}
-    # (e^s + 1)(e^s - 1) = e^(2s) - 1
-    s = F(1, 3)
-    p = {s: F(1), F(0): F(1)}
-    q = {s: F(1), F(0): F(-1)}
-    assert _sum_mul(p, q) == {2 * s: F(1), F(0): F(-1)}
+    # (e^s + 1)(e^s - 1) = e^(2s) - 1, for s = 1/3: keys over M = 3
+    p = {1: 1, 0: 1}
+    q = {1: 1, 0: -1}
+    assert _sum_mul(p, q) == {2: 1, 0: -1}
     assert _sum_mul(p, {}) == {}
-    assert _sum_reciprocal({F(-1, 2): F(4)}) == {F(1, 2): F(1, 4)}
-    # D puts every exponent on the lattice of e^(1/D)
-    assert _common_denominator({F(-3, 2): F(2), F(-1, 2): F(-1), F(0): F(1)}) == 2
-    assert _common_denominator({F(0): F(5)}) == 1
-    assert _common_denominator([F(1, 4), F(5, 6)]) == 12
 
 
 def test_lau_sign_and_enclosure():
     # e - 3 < 0 < e - 2
-    assert lau_enclosure({F(1): F(1), F(0): F(-3)}, F(1, 10)).definite_sign() == -1
-    assert lau_enclosure({F(1): F(1), F(0): F(-2)}, F(1, 10)).definite_sign() == 1
-    box = lau_enclosure({F(1): F(1)}, F(1, 10**12))
+    assert lau_enclosure({1: F(1), 0: F(-3)}, 1, F(1, 10)).definite_sign() == -1
+    assert lau_enclosure({1: F(1), 0: F(-2)}, 1, F(1, 10)).definite_sign() == 1
+    box = lau_enclosure({1: F(1)}, 1, F(1, 10**12))
     assert contains_ref(box, E_REF)
     assert box.width < F(1, 10**12)
-    assert lau_enclosure({}, F(1, 10)) == RationalInterval.point(0)
+    assert lau_enclosure({}, 1, F(1, 10)) == RationalInterval.point(0)
+    # integer coefficients over one q: (2 - e)/4 and the exact 3/4
+    box = lau_enclosure({0: 2, 1: -1}, 1, F(1, 10**9), q=4)
+    assert box == lau_enclosure({0: F(1, 2), 1: F(-1, 4)}, 1, F(1, 10**9))
+    assert lau_enclosure({0: 3}, 5, F(1, 10), q=4) == RationalInterval.point(F(3, 4))
     # a negative fractional exponent uses reciprocal powers: e^(-1/2) squared
-    half = lau_enclosure({F(-1, 2): F(1)}, F(1, 10**9))
+    half = lau_enclosure({-1: F(1)}, 2, F(1, 10**9))
     sq = half * half
     assert contains_ref(sq, EXP_NEG1_REF)
-    root_e = lau_enclosure({F(1, 2): F(1)}, F(1, 10**9))
+    root_e = lau_enclosure({1: F(1)}, 2, F(1, 10**9))
     assert contains_ref(root_e * root_e, E_REF)
+    # the keys over M = 4 reduce to the same tau = e^(1/2)
+    assert lau_enclosure({2: F(1)}, 4, F(1, 10**9)) == root_e
     # e^(1/2) e^(1/3) share the one tau = e^(1/6)
-    box = lau_enclosure({F(1, 2): F(1), F(1, 3): F(-1)}, F(1, 10**9))
+    box = lau_enclosure({3: F(1), 2: F(-1)}, 6, F(1, 10**9))
     assert box.definite_sign() == 1 and box.width < F(1, 10**9)
     with pytest.raises(PreconditionError):
-        lau_enclosure({F(1): F(1)}, F(0))
+        lau_enclosure({1: F(1)}, 1, F(0))
 
 
 def test_lau_enclosure_tightening_is_consistent():
     # a decided sign stays the same sign as eps shrinks
-    term = {F(3, 2): F(1), F(0): F(-4)}  # e^(3/2) - 4 = 0.4816...
-    s1 = lau_enclosure(term, F(1, 10**3)).definite_sign()
-    s2 = lau_enclosure(term, F(1, 10**25)).definite_sign()
+    term = {3: F(1), 0: F(-4)}  # e^(3/2) - 4 = 0.4816...
+    s1 = lau_enclosure(term, 2, F(1, 10**3)).definite_sign()
+    s2 = lau_enclosure(term, 2, F(1, 10**25)).definite_sign()
     assert s1 == s2 == 1
     # one table of tau enclosures, shared across sums of different D and
     # widths, gives what each call gives without one
@@ -304,8 +309,9 @@ def test_lau_enclosure_tightening_is_consistent():
         for _ in range(rng.randint(1, 4)):
             s = F(rng.randint(-40, 40), rng.randint(1, 6))
             _put(a, s, F(rng.randint(-9, 9), rng.randint(1, 5)))
+        a, m = over_m(a)
         eps = F(rng.randint(1, 3), 2 ** rng.choice((8, 16, 30, 64, 120)))
-        assert lau_enclosure(a, eps, taus) == lau_enclosure(a, eps)
+        assert lau_enclosure(a, m, eps, taus) == lau_enclosure(a, m, eps)
     denoms = {d for d, _ in taus}
     assert len(denoms) > 1 and len(taus) > len(denoms)
 
@@ -313,19 +319,21 @@ def test_lau_enclosure_tightening_is_consistent():
 def test_quotient_enclosure_and_sign():
     # 1/e^(-100): the denominator must first clear zero, then the quotient
     # needs a working width about e^-200 times the target
-    box = quotient_enclosure({F(0): F(1)}, {F(-100): F(1)}, F(1, 10**6))
+    box = quotient_enclosure({0: F(1)}, {-100: F(1)}, 1, F(1, 10**6))
     assert box.width < F(1, 10**6)
     assert contains_ref(box, sum(F(100**k, factorial(k)) for k in range(400)))
     with pytest.raises(DivisionByPossiblyZeroError):
-        quotient_enclosure({F(0): F(1)}, {}, F(1, 10))
+        quotient_enclosure({0: F(1)}, {}, 1, F(1, 10))
     # exact zero, and a nonzero value far below any fixed width
-    assert exp_sum_sign({}) == 0
-    assert exp_sum_sign({F(-500): F(1)}) == 1
-    assert exp_sum_sign({F(-500): F(-1), F(-501): F(2)}) == -1
+    assert exp_sum_sign({}, 1) == 0
+    assert exp_sum_sign({-500: F(1)}, 1) == 1
+    assert exp_sum_sign({-500: F(-1), -501: F(2)}, 1) == -1
     # a mixed-sign value below 2^-2048 is not signed; one sign needs no width
     with pytest.raises(BudgetExceededError):
-        exp_sum_sign({F(-1500): F(1), F(-1501): F(-1)})
-    assert exp_sum_sign({F(-1500): F(-1), F(-1501): F(-3)}) == -1
+        exp_sum_sign({-1500: F(1), -1501: F(-1)}, 1)
+    assert exp_sum_sign({-1500: F(-1), -1501: F(-3)}, 1) == -1
+    # integer coefficients over q sign alike: (2e - 5)/7 > 0
+    assert exp_sum_sign({1: 2, 0: -5}, 1, q=7) == 1
 
 
 def test_decimal_str():
@@ -444,10 +452,10 @@ def test_exp_sum_sign_against_sympy():
     )
     def check(one_signed, sign, mixed):
         a = as_sum((s, sign * c) for s, c in one_signed)
-        assert exp_sum_sign(a) == sign == sympy.sign(value(a))
+        assert exp_sum_sign(*over_m(a)) == sign == sympy.sign(value(a))
         b = as_sum(mixed)
         want = sympy.sign(value(b).evalf(60)) if b else 0
-        assert exp_sum_sign(b) == want
+        assert exp_sum_sign(*over_m(b)) == want
 
     check()
 
@@ -475,7 +483,7 @@ def test_lau_enclosure_against_sympy():
     )
     def check(terms, eps):
         a = _sum_add({}, dict(terms), 1)
-        box = lau_enclosure(a, eps)
+        box = lau_enclosure(*over_m(a), eps)
         value = sum(
             sympy.Rational(c.numerator, c.denominator)
             * sympy.exp(sympy.Rational(s.numerator, s.denominator))

@@ -4,11 +4,12 @@ import contextlib
 import gc
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from expocert import expr
-from expocert.arith import _sum_add, _sum_mul, _sum_pow, _sum_reciprocal
+from expocert.arith import _sum_add, _sum_mul, _sum_pow, lau_enclosure
 from expocert.errors import (
     LoweringError,
     NonlinearExpArgumentError,
@@ -18,6 +19,7 @@ from expocert.expr import (
     EXPONENT_CAP,
     Node,
     _linear_form,
+    exp_denominator,
     exp_sum_at,
     lower_grid,
     lower_to_quotient,
@@ -29,6 +31,7 @@ from expocert.expr import (
     variables,
 )
 from expocert.mep import ExpRational, Mep, _stretch, normalize
+from expocert.stratify import _axis
 
 G_TEXT = (
     "2 - 6*exp(-x) - x^3*exp(-x) + 6*exp(-2*x) - x^3*exp(-2*x) - 2*exp(-3*x)"
@@ -317,7 +320,7 @@ def test_lowering_leaves_no_reference_cycles():
     gc.disable()
     try:
         ast = parse_inequality(ineq)
-        exp_sum_at(lower_grid(Node("sub", (ast.left, ast.right))), F(1, 2), F(-3))
+        _at_point(lower_grid(Node("sub", (ast.left, ast.right))), F(1, 2), F(-3))
         to_exp_rational(parse_expression(G_TEXT))
         to_const(parse_expression("(e^2 - 3*e + 1)/(e - 1)^2"))
     finally:
@@ -341,14 +344,37 @@ def test_power_of_one_monomial_makes_no_product(monkeypatch):
         (F(1), F(1, 2), {F(10000): F(1), F(0): -F(1, 2**200)}),
         (F(-1, 3), F(2), {F(-10000, 3): F(1), F(0): F(-(2**200))}),
     ]:
-        assert exp_sum_at(form, x, a) == (num, {F(0): F(1)})
+        assert _at_point(form, x, a) == (num, {F(0): F(1)})
+
+
+def _fraction_keyed(pair, m):
+    """A side (sum, q) over m read as the sum {k/m: c/q} of c/q * e^(k/m)."""
+    p, q = pair
+    return {F(k, m): F(c, q) for k, c in p.items()}
+
+
+def _at_point(form, x, a):
+    """exp_sum_at at one point, over the M that exp_denominator gives for
+    it, as two sums keyed by rational exponents."""
+    m = exp_denominator(form, [x], [a])
+    return tuple(_fraction_keyed(side, m) for side in exp_sum_at(form, x, a, m))
+
+
+def _reciprocal(b):
+    """1/b, exact only for a single term c*e^s."""
+    if not b:
+        raise LoweringError("division by exact zero at this point")
+    if len(b) > 1:
+        raise LoweringError("division by a sum of exponentials is not exact")
+    ((k, c),) = b.items()
+    return {-k: 1 / F(c)}
 
 
 def _grid_value(text, x, a):
     """The point's value num/den as one sum, for a single-term den."""
-    num, den = exp_sum_at(lower_grid(parse_expression(text)), x, a)
+    num, den = _at_point(lower_grid(parse_expression(text)), x, a)
     assert len(den) == 1
-    return _sum_mul(num, _sum_reciprocal(den))
+    return _sum_mul(num, _reciprocal(den))
 
 
 def test_exp_sum_at_points():
@@ -358,14 +384,14 @@ def test_exp_sum_at_points():
     assert _grid_value("sign(a)", x, a) == {F(0): F(-1)}
     assert _grid_value("sign(a - a)", x, a) == {}
     # a single-term denominator divides exactly
-    assert exp_sum_at(lower_grid(parse_expression("exp(x)/exp(a)")), x, a) == (
+    assert _at_point(lower_grid(parse_expression("exp(x)/exp(a)")), x, a) == (
         {F(1, 2): F(1)}, {F(-3): F(1)}
     )
     assert _grid_value("exp(x)/exp(a)", x, a) == {F(7, 2): F(1)}
     combo = _grid_value("2*exp(a*x) - exp(-x) + 1", x, a)
     assert combo == {F(-3, 2): F(2), F(-1, 2): F(-1), F(0): F(1)}
     # groups whose exponents meet at this point merge, and cancel
-    assert exp_sum_at(lower_grid(parse_expression("exp(x) - exp(a)")), F(2), F(2)) == (
+    assert _at_point(lower_grid(parse_expression("exp(x) - exp(a)")), F(2), F(2)) == (
         {}, {F(0): F(1)}
     )
     assert _grid_value("exp(a*x) + exp(x/2)", F(1, 2), F(1, 2)) == {F(1, 4): F(2)}
@@ -374,23 +400,30 @@ def test_exp_sum_at_points():
 def test_exp_sum_division_limits():
     form = lower_grid(parse_expression("1/(exp(x) + 1)"))
     # a sum in the denominator is kept, for its sign
-    assert exp_sum_at(form, F(1), F(0)) == ({F(0): F(1)}, {F(1): F(1), F(0): F(1)})
+    assert _at_point(form, F(1), F(0)) == ({F(0): F(1)}, {F(1): F(1), F(0): F(1)})
     # an exact zero denominator stays an exact zero
-    assert exp_sum_at(lower_grid(parse_expression("1/(x - 1)")), F(1), F(0))[1] == {}
+    assert _at_point(lower_grid(parse_expression("1/(x - 1)")), F(1), F(0))[1] == {}
     with pytest.raises(LoweringError):
-        exp_sum_at(lower_grid(parse_expression("sign(1/(x - 1 + a))")), F(1), F(0))
+        _at_point(lower_grid(parse_expression("sign(1/(x - 1 + a))")), F(1), F(0))
+    # integer keys over the caller's M, integer coefficients over one q:
+    # the tree lowers to (4*exp(a*x/2) + 3*x)/12, and at x = 1/7, a = 1/12
+    # the exponent 1/168 is 5 over M = 840, each side over q = 7
+    form = lower_grid(parse_expression("exp(a*x/2)/3 + x/4"))
+    assert form.exp_den == 2
+    assert exp_sum_at(form, F(1, 7), F(1, 12), 2 * 7 * 12 * 5) == (
+        ({5: 28, 0: 3}, 7), ({0: 84}, 7))
 
 
 def test_grid_lowering_keeps_powers_of_sums():
     # the power of a sum is held once and raised at each point, not
     # expanded; products by one monomial expand into the sum
     form = lower_grid(parse_expression("2*(1 + x + a + exp(x))^40 - x*a*exp(a)"))
-    assert form.den == ("sum", ((F(0), (0, 0, 0, 0, 1), 1, ((1, 0, 0, ()),)),))
+    assert form.den == ("sum", 1, (((0, 0, 0, 0, 1), ((1, 0, 0, ()),)),))
     kind, (scaled, two, (power, base, k)), rest = form.num
     assert (kind, scaled, power, k) == ("add", "mul", "pow", 40)
-    assert two == ("sum", ((F(0), (0, 0, 0, 0, 1), 1, ((2, 0, 0, ()),)),))
-    assert base[0] == "sum" and sum(len(g[3]) for g in base[1]) == 4
-    assert rest[0] == "sum" and len(rest[1]) == 1
+    assert two == ("sum", 1, (((0, 0, 0, 0, 1), ((2, 0, 0, ()),)),))
+    assert base[0] == "sum" and sum(len(g[1]) for g in base[2]) == 4
+    assert rest[0] == "sum" and len(rest[2]) == 1
     value = _grid_value("(1 + x + a + exp(x))^40", F(1, 3), F(-1, 2))
     assert len(value) == 41 and value[F(40, 3)] == 1
     # sign arguments are lowered once each, however often they occur
@@ -425,7 +458,7 @@ def _old_exp_sum_at(node, point):
     if node.op == "pow":
         base = _old_exp_sum_at(node.args[0], point)
         if node.value < 0:
-            base = _sum_reciprocal(base)
+            base = _reciprocal(base)
         return _sum_pow(base, abs(node.value))
     a = _old_exp_sum_at(node.args[0], point)
     b = _old_exp_sum_at(node.args[1], point)
@@ -435,7 +468,7 @@ def _old_exp_sum_at(node, point):
         return _sum_add(a, b, -1)
     if node.op == "mul":
         return _sum_mul(a, b)
-    return _sum_mul(a, _sum_reciprocal(b))
+    return _sum_mul(a, _reciprocal(b))
 
 
 def _pair_at(node, point):
@@ -500,10 +533,10 @@ def _swap_variables(node):
     return Node(node.op, tuple(_swap_variables(c) for c in node.args), node.value)
 
 
-def test_grid_lowering_matches_recursive_walk():
-    pytest.importorskip("hypothesis")
-    from hypothesis import example, given, settings, strategies as st
-
+def _grid_trees(st):
+    """Trees in x and a: rationals, x, a, e, exp of linear forms with
+    coefficients 0, 1, -1 and 1/2, and sign of exp-free trees, under
+    + - * /, negation and powers -3 .. 3."""
     small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
     rat = small.map(lambda v: Node("rat", value=v))
     var = st.sampled_from([Node("var", value="x"), Node("var", value="a")])
@@ -534,7 +567,14 @@ def test_grid_lowering_matches_recursive_walk():
         st.tuples(*[st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2)])] * 4).map(linear),
         exp_free.map(lambda u: Node("sign", (u,))),
     )
-    trees = st.recursive(leaves, branches, max_leaves=8)
+    return st.recursive(leaves, branches, max_leaves=8)
+
+
+def test_grid_lowering_matches_recursive_walk():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    trees = _grid_trees(st)
     # few coordinates, so that x = a and exponents of distinct groups meet
     coords = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 
@@ -550,7 +590,7 @@ def test_grid_lowering_matches_recursive_walk():
     def check(tree, x, a):
         point = {"x": x, "a": a}
         try:
-            num, den = exp_sum_at(lower_grid(tree), x, a)
+            num, den = _at_point(lower_grid(tree), x, a)
         except LoweringError:
             num = den = None
         try:
@@ -568,7 +608,7 @@ def test_grid_lowering_matches_recursive_walk():
         # meet there and must cancel to nothing
         twin = lower_grid(Node("sub", (tree, _swap_variables(tree))))
         with contextlib.suppress(LoweringError):
-            assert exp_sum_at(twin, x, x)[0] == {}
+            assert _at_point(twin, x, x)[0] == {}
         try:
             old = _old_exp_sum_at(tree, point)
         except LoweringError:
@@ -577,15 +617,62 @@ def test_grid_lowering_matches_recursive_walk():
             assert num is None or len(den) != 1 or _nested_quotient(tree)
             return
         assert num is not None and len(den) == 1
-        assert _sum_mul(num, _sum_reciprocal(den)) == old
+        assert _sum_mul(num, _reciprocal(den)) == old
 
     check()
     # the same examples merge into canonical groups before any point
     for text in ("exp(a*x/3)^3 - exp(a*x)", "exp(x/2)*exp(a*x/2) - exp((x + a*x)/2)",
                  "sign(x - a)^3 - sign(x - a)"):
-        assert lower_grid(parse_expression(text)).num == ("sum", ())
+        assert lower_grid(parse_expression(text)).num == ("sum", 1, ())
     form = lower_grid(parse_expression("sign(x - a)^2*exp(x/2)^2"))
-    assert form.num == ("sum", ((None, (0, 1, 0, 0, 1), 1, ((1, 0, 0, ((0, 2),)),)),))
+    assert form.num == ("sum", 1, (((0, 1, 0, 0, 1), ((1, 0, 0, ((0, 2),)),)),))
+
+
+def test_integer_keys_over_the_command_denominator():
+    # grids whose axes have mixed and tiny denominators: at every point
+    # the integer-keyed sums over the command's one M, read as k/M, give
+    # the old walk's value, and the quotient the grid signs (a single-term
+    # den divided out on integers) encloses to the same interval as the
+    # rational-keyed value at every width
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    axes = st.sampled_from([
+        (F(1, 7), F(6, 7), 6),  # sevenths
+        (F(-1, 12), F(11, 12), 13),  # twelfths
+        (F(1, 10**6), F(1, 500000), 5),  # tiny: step 1/(4*10^6)
+        (F(-2, 3), F(1, 2), 8),  # mixed: step 1/6
+    ])
+    widths = [F(1, 2**b) for b in (16, 32, 64, 128, 200)]
+    compared = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tree=_grid_trees(st), x_axis=axes, a_axis=axes,
+           i=st.integers(0, 12), j=st.integers(0, 12), eps=st.sampled_from(widths))
+    def check(tree, x_axis, a_axis, i, j, eps):
+        xs, as_ = _axis(*x_axis), _axis(*a_axis)
+        x, a = xs[i % len(xs)], as_[j % len(as_)]
+        try:
+            old = _old_exp_sum_at(tree, {"x": x, "a": a})
+        except LoweringError:
+            return  # compared with a quotient evaluator in the test above
+        form = lower_grid(tree)
+        m = exp_denominator(form, xs, as_)
+        (num, qn), (den, qd) = exp_sum_at(form, x, a, m)
+        assert qn > 0 and qd > 0 and len(den) == 1
+        ((k, c),) = den.items()
+        f = qd if c > 0 else -qd
+        quotient, q = {j - k: v * f for j, v in num.items()}, qn * abs(c)
+        assert _fraction_keyed((quotient, q), m) == old
+        least = lcm(1, *(s.denominator for s in old))
+        reference = {s.numerator * (least // s.denominator): v for s, v in old.items()}
+        assert lau_enclosure(quotient, m, eps, q=q) == lau_enclosure(reference, least, eps)
+        compared.append(m // least)
+
+    check()
+    # most compared points hold keys over an M far above their own least
+    # denominator
+    assert len(compared) >= 100 and sum(r > 1 for r in compared) >= len(compared) // 2
 
 
 # The former lower_to_quotient walk, kept as a reference: raw terms

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from expocert import arith
-from expocert.arith import ConstExpr, _sum_mul, _sum_reciprocal, exp_sum_sign, lau_enclosure
+from expocert.arith import ConstExpr, exp_sum_sign, lau_enclosure
 from expocert.errors import (
     BudgetExceededError,
     EndpointValidationError,
@@ -14,6 +14,7 @@ from expocert.errors import (
 )
 from expocert.expr import (
     Node,
+    exp_denominator,
     exp_sum_at,
     lower_grid,
     parse_expression,
@@ -322,6 +323,16 @@ def test_grid_undecided_then_decided():
     assert len(fine.undecided_at) == 0 and len(fine.holds_at) == 4
 
 
+def _quotient_at(form, x, a):
+    """num/den at a point whose den is a single term, as an integer-keyed
+    sum with rational coefficients over the point's own M, and that M."""
+    m = exp_denominator(form, [x], [a])
+    (num, qn), (den, qd) = exp_sum_at(form, x, a, m)
+    assert len(den) == 1
+    ((k, c),) = den.items()
+    return {j - k: F(v * qd, qn * c) for j, v in num.items()}, m
+
+
 def test_grid_encloses_each_tau_once(monkeypatch):
     # the points of one grid command share one table of tau = e^(1/D)
     # enclosures, and are classified as when each is signed on its own
@@ -344,9 +355,8 @@ def test_grid_encloses_each_tau_once(monkeypatch):
         want = {"holds": [], "fails": [], "undecided": []}
         for x in xs:
             for a in as_:
-                num, den = exp_sum_at(form, x, a)
                 try:
-                    sgn = exp_sum_sign(_sum_mul(num, _sum_reciprocal(den)), eps)
+                    sgn = exp_sum_sign(*_quotient_at(form, x, a), eps)
                 except BudgetExceededError:
                     want["undecided"].append((x, a))
                     continue
@@ -388,11 +398,10 @@ def test_grid_signs_match_sympy_and_full_enclosures():
     ]
     bound = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
 
-    def sign_of(diff):
+    def sign_of(diff, m):
         value = sum(
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.exp(sympy.Rational(s.numerator, s.denominator))
-            for s, c in diff.items()
+            sympy.Rational(c.numerator, c.denominator) * sympy.exp(sympy.Rational(k, m))
+            for k, c in diff.items()
         )
         return int(sympy.sign(sympy.N(value, 120)))
 
@@ -416,10 +425,8 @@ def test_grid_signs_match_sympy_and_full_enclosures():
         want_less = ineq.cmp in ("<", "<=")
         form = lower_grid(Node("sub", (ineq.left, ineq.right)))
         for xv, av in verdicts.keys() | set(rep.undecided_at):
-            num, den = exp_sum_at(form, xv, av)
-            assert len(den) == 1  # no grid here divides by a sum
-            diff = _sum_mul(num, _sum_reciprocal(den))
-            sgn = sign_of(diff)
+            diff, m = _quotient_at(form, xv, av)  # no grid here divides by a sum
+            sgn = sign_of(diff, m)
             if sgn == 0:
                 want = "fails" if ineq.strict else "holds"
             else:
@@ -428,7 +435,7 @@ def test_grid_signs_match_sympy_and_full_enclosures():
                 assert verdicts[(xv, av)] == want
                 continue
             try:
-                decided = not diff or lau_enclosure(diff, eps).definite_sign()
+                decided = not diff or lau_enclosure(diff, m, eps).definite_sign()
             except BudgetExceededError:
                 decided = False
             assert not decided
