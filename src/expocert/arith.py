@@ -369,8 +369,10 @@ def exp_sum_sign(
         width = max(Fraction(1, 1 << bits), eps)
         # the sign of lau_enclosure's interval, read off its mantissas
         lo, hi, _ = _lau_mantissas(a, m, width, taus, q)
-        if lo > 0 or hi < 0:
-            return 1 if lo > 0 else -1
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
         if width == eps:
             break
         bits *= 2

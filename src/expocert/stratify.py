@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
 from math import lcm
+from typing import Optional, Sequence, Union
 
 from .arith import (
     ConstExpr,
@@ -535,12 +534,13 @@ def grid_check(
     `steps` counts grid points per axis (one int for both, or a pair
     (nx, na)); endpoints inclusive. The difference of the two sides is
     lowered once (expr.lower_grid), and at each point its numerator and
-    denominator become exact sums of rational multiples of powers of e.
-    A single-term denominator divides exactly, and the point takes the
-    sign of the quotient (exp_sum_sign with eps as its floor); a
-    denominator of several terms gives the sign of the numerator times
-    that of the denominator; an exactly zero one, or a sign(...) argument
-    that divides by zero, leaves the point undecided.
+    denominator become exact sums of rational multiples of powers of e,
+    on integer keys over the command's one exponent denominator
+    (expr.exp_denominator). A single-term denominator divides exactly,
+    and the point takes the sign of the quotient (exp_sum_sign with eps
+    as its floor); a denominator of several terms gives the sign of the
+    numerator times that of the denominator; an exactly zero one, or a
+    sign(...) argument that divides by zero, leaves the point undecided.
     Cancellation to zero is detected symbolically, so equality rows of
     non-strict inequalities classify as holds no matter how close the
     sides are. A difference whose coefficients share one sign is signed
