@@ -193,10 +193,8 @@ def exp_enclosure(s, eps) -> RationalInterval:
 # rational point: every exp(.) collapses onto one e^s, so the value (and
 # the difference of two sides) is a finite sum whose exact vanishing is
 # read off the dict and whose sign is read off an enclosure of a single
-# e^(1/D). The coefficients are rationals, int or Fraction; the grid
-# keeps them as integers and passes one positive denominator q per sum,
-# so the value is (1/q) * sum c * e^(k/M). Zero coefficients are never
-# stored, so {} is exactly zero.
+# e^(1/D). The coefficients are rationals, int or Fraction. Zero
+# coefficients are never stored, so {} is exactly zero.
 
 ExpSum = dict
 
@@ -277,21 +275,18 @@ def _mantissa_pow(lo: int, hi: int, k: int, bits: int) -> tuple[int, int]:
     return acc_lo, acc_hi
 
 
-def lau_enclosure(
-    a: ExpSum, m: int, eps, taus: dict | None = None, q: int = 1
-) -> RationalInterval:
-    """Enclose (1/q) * sum c * e^(k/m) to width < eps, for q > 0.
+def lau_enclosure(a: ExpSum, m: int, eps, taus: dict | None = None) -> RationalInterval:
+    """Enclose sum c * e^(k/m) to width < eps.
 
     With g the gcd of m and every key, D = m // g is the least common
     denominator of the exponents k/m, and e^(k/m) is the integer power
     k // g of tau = e^(1/D), so one enclosure of tau serves all terms;
     it and the working precision tighten together until the sum is
     narrow enough. Each round runs on integer mantissas over 2**bits:
-    tau, its powers and each term c * tau^k / q are rounded outward
-    (floor for the lower end, ceiling for the upper), then summed as
-    ints. A term's rounding depends only on its rational value, so the
-    same sum over any m, with its coefficients over any q, gives the same
-    interval.
+    tau, its powers and each term c * tau^k are rounded outward (floor
+    for the lower end, ceiling for the upper), then summed as ints. D
+    and the powers depend only on the exponents' values, so the same sum
+    keyed over any m gives the same interval.
 
     `taus`, if given, is a table of the tau enclosures already made,
     keyed by (D, width): a caller that signs many sums, as grid_check
@@ -302,17 +297,17 @@ def lau_enclosure(
     if eps <= 0:
         raise PreconditionError("eps must be positive")
     if set(a) <= {0}:  # no e^s with s != 0: the value is exact
-        return RationalInterval.point(Fraction(a.get(0, 0), q))
-    lo, hi, bits = _lau_mantissas(a, m, eps, {} if taus is None else taus, q)
+        return RationalInterval.point(a.get(0, 0))
+    lo, hi, bits = _lau_mantissas(a, m, eps, {} if taus is None else taus)
     return RationalInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
-def _lau_mantissas(a: ExpSum, m: int, eps: Fraction, taus: dict, q: int):
+def _lau_mantissas(a: ExpSum, m: int, eps: Fraction, taus: dict):
     """lau_enclosure's interval as integer mantissas (lo, hi) over
     2**bits, and bits, for a sum with some key k != 0."""
     g = gcd(m, *a)
     denom = m // g
-    powers = [(k // g, c.numerator, c.denominator * q) for k, c in a.items()]
+    powers = [(k // g, c.numerator, c.denominator) for k, c in a.items()]
     # seed the schedule from the target: the first tau needs roughly the
     # requested precision already, and the working precision must exceed
     # -log2(eps) or outward rounding alone would defeat the tightening
@@ -343,9 +338,8 @@ def exp_sum_sign(
     m: int,
     eps=Fraction(1, 1 << SIGN_BITS_CAP),
     taus: dict | None = None,
-    q: int = 1,
 ) -> int:
-    """Exact sign of (1/q) * sum c * e^(k/m): 0 for {} and only for {}.
+    """Exact sign of sum c * e^(k/m): 0 for {} and only for {}.
 
     Every e^s is positive, so coefficients of one sign give the sign
     outright, however small the value. Otherwise distinct e^s are linearly
@@ -353,7 +347,7 @@ def exp_sum_sign(
     nonzero and a narrow enough lau_enclosure clears zero. The width
     starts at 2^-16 and is squared while it stays above eps, then eps is
     tried; a mixed-sign value no width down to eps signs raises
-    BudgetExceededError. m, `taus` and q are passed on to lau_enclosure.
+    BudgetExceededError. m and `taus` are passed on to lau_enclosure.
     """
     if not a:
         return 0
@@ -368,7 +362,7 @@ def exp_sum_sign(
     while True:
         width = max(Fraction(1, 1 << bits), eps)
         # the sign of lau_enclosure's interval, read off its mantissas
-        lo, hi, _ = _lau_mantissas(a, m, width, taus, q)
+        lo, hi, _ = _lau_mantissas(a, m, width, taus)
         if lo > 0:
             return 1
         if hi < 0:

@@ -24,9 +24,8 @@ of sparse sums over monomials x^i * a^j * exp(linear form), and den
 vanishes wherever a divisor in the tree is zero or undefined. Three
 readings follow. `lower_grid` and `exp_sum_at` evaluate it at each
 rational grid point into two exact finite sums of rational multiples of
-e^s, held on integers: keys over one exponent denominator M that the
-caller fixes, coefficients over one denominator per sum; `arith` signs
-them. `to_const` (no variables) reads it at the origin as a constant in
+e^s, keyed by integers over one exponent denominator M that the caller
+fixes; `arith` signs them. `to_const` (no variables) reads it at the origin as a constant in
 e that `arith` signs and encloses.
 `to_exp_rational` (variable x) multiplies it out into the quotient of
 mixed exponential polynomials the prover works on, stretching x by the
@@ -583,13 +582,12 @@ def to_const(node: Node) -> ConstExpr:
     form = lower_grid(node)
     m = form.exp_den
     sums = exp_sum_at(form, Fraction(0), Fraction(0), m)
-    keys = [k for p, _ in sums for k in p]
+    keys = [k for p in sums for k in p]
     for k in keys:
         if k % m:
             raise LoweringError(f"exp({Fraction(k, m)}) is not an integer power of e")
     low = min((0, *keys)) // m
-    return ConstExpr(*({k // m - low: Fraction(c, q) for k, c in p.items()}
-                       for p, q in sums))
+    return ConstExpr(*({k // m - low: c for k, c in p.items()} for p in sums))
 
 
 _RawTerms = list  # [(alpha, p, q)] for alpha * x^p * exp(-q*x), q rational
@@ -661,8 +659,7 @@ def to_exp_rational(node: Node) -> tuple[ExpRational, int]:
 # so every key is an integer over M. The monomials of a sum are grouped
 # by their integer form, and all of one sum's coefficients are integers
 # over one scale, so at the point a group's coefficient is a single
-# integer over scale * qx^I * qa^J; products, powers and sums of sums
-# carry one positive integer denominator each.
+# integer over scale * qx^I * qa^J.
 
 
 @dataclass(frozen=True)
@@ -720,13 +717,11 @@ def exp_denominator(form: GridForm, xs, as_) -> int:
             * lcm(*(a.denominator for a in as_)))
 
 
-def exp_sum_at(
-    form: GridForm, x: Fraction, a: Fraction, m: int
-) -> tuple[tuple[ExpSum, int], tuple[ExpSum, int]]:
-    """(num, den) of a lowered tree at the rational point (x, a), each a
-    pair (sum, q): the exact value (1/q) * sum c * e^(k/m), with integer
-    keys k and coefficients c and q > 0. m must put every exponent at
-    this point over m as an integer, as exp_denominator's does.
+def exp_sum_at(form: GridForm, x: Fraction, a: Fraction, m: int) -> tuple[ExpSum, ExpSum]:
+    """(num, den) of a lowered tree at the rational point (x, a), each
+    an exact sum {k: c} of c * e^(k/m) with integer keys k. m must put
+    every exponent at this point over m as an integer, as
+    exp_denominator's does.
 
     Raises LoweringError when a sign(...) argument divides by zero here.
     """
@@ -761,27 +756,24 @@ def _acc(monos, ctx) -> int:
 
 def _sign(p, ctx) -> int:
     """Sign of an exp-free side at the point."""
-    v = _at(p, ctx)[0].get(0, 0)
+    v = _at(p, ctx).get(0, 0)
     return (v > 0) - (v < 0)
 
 
-def _at(p, ctx) -> tuple[ExpSum, int]:
+def _at(p, ctx) -> ExpSum:
     kind = p[0]
+    if kind == "mul":
+        return _sum_mul(_at(p[1], ctx), _at(p[2], ctx))
     if kind == "pow":
-        u, q = _at(p[1], ctx)
-        return _sum_pow(u, p[2]), q ** p[2]
-    if kind != "sum":
-        (u, qu), (v, qv) = _at(p[1], ctx), _at(p[2], ctx)
-        if kind == "mul":
-            return _sum_mul(u, v), qu * qv
-        q = lcm(qu, qv)  # add over the common denominator
-        if q != qu:
-            u = {k: c * (q // qu) for k, c in u.items()}
-        return _sum_add(u, v, q // qv), q
+        return _sum_pow(_at(p[1], ctx), p[2])
+    if kind == "add":
+        return _sum_add(_at(p[1], ctx), _at(p[2], ctx), 1)
     _, _, den, (qq, pxqa, paqx, pxpa, mq), _ = ctx
+    scale = p[1] * den
     out: ExpSum = {}
     for (l0, lx, la, lxa, ld), monos in p[2]:
         acc = _acc(monos, ctx)
         if acc:
-            _put(out, (l0 * qq + lx * pxqa + la * paqx + lxa * pxpa) * (mq // ld), acc)
-    return out, p[1] * den
+            key = (l0 * qq + lx * pxqa + la * paqx + lxa * pxpa) * (mq // ld)
+            _put(out, key, Fraction(acc, scale))
+    return out

@@ -36,6 +36,7 @@ from typing import Optional, Sequence, Union
 
 from .arith import (
     ConstExpr,
+    ExpSum,
     RationalInterval,
     _put,
     _sum_add,
@@ -585,21 +586,18 @@ def grid_check(
     )
 
 
-def _point_sign(num: tuple, den: tuple, m: int, eps: Fraction, taus: dict) -> int:
-    """Sign of num/den at one grid point, each side a pair (sum, q) over m
-    as exp_sum_at gives it. A single-term den c/q * e^(k/m) divides
-    exactly, on integers: the quotient has coefficients n * q * sign(c)
-    over q_num * |c| and keys shifted by -k; a den of exactly 1 is
-    skipped. A den of several terms gives sign(num) * sign(den); an
-    exactly zero one raises LoweringError."""
-    (n, qn), (d, qd) = num, den
-    if len(d) > 1:
-        sgn = exp_sum_sign(n, m, eps, taus, qn)
-        return sgn and sgn * exp_sum_sign(d, m, eps, taus, qd)
-    if not d:
+def _point_sign(num: ExpSum, den: ExpSum, m: int, eps: Fraction, taus: dict) -> int:
+    """Sign of num/den at one grid point, both keyed over m as exp_sum_at
+    gives them. A single-term den c * e^(k/m) divides exactly: the
+    quotient has coefficients n / c and keys shifted by -k; a den of
+    exactly 1 is skipped. A den of several terms gives sign(num) *
+    sign(den); an exactly zero one raises LoweringError."""
+    if len(den) > 1:
+        sgn = exp_sum_sign(num, m, eps, taus)
+        return sgn and sgn * exp_sum_sign(den, m, eps, taus)
+    if not den:
         raise LoweringError("division by exact zero at this point")
-    ((k, c),) = d.items()
-    if k or c != qd:
-        f = qd if c > 0 else -qd
-        n, qn = {j - k: v * f for j, v in n.items()}, qn * abs(c)
-    return exp_sum_sign(n, m, eps, taus, qn)
+    ((k, c),) = den.items()
+    if k or c != 1:
+        num = {j - k: v / c for j, v in num.items()}
+    return exp_sum_sign(num, m, eps, taus)

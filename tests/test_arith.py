@@ -275,10 +275,10 @@ def test_lau_sign_and_enclosure():
     assert contains_ref(box, E_REF)
     assert box.width < F(1, 10**12)
     assert lau_enclosure({}, 1, F(1, 10)) == RationalInterval.point(0)
-    # integer coefficients over one q: (2 - e)/4 and the exact 3/4
-    box = lau_enclosure({0: 2, 1: -1}, 1, F(1, 10**9), q=4)
-    assert box == lau_enclosure({0: F(1, 2), 1: F(-1, 4)}, 1, F(1, 10**9))
-    assert lau_enclosure({0: 3}, 5, F(1, 10), q=4) == RationalInterval.point(F(3, 4))
+    # int coefficients enclose as the equal Fractions: 2 - e and the exact 3
+    box = lau_enclosure({0: 2, 1: -1}, 1, F(1, 10**9))
+    assert box == lau_enclosure({0: F(2), 1: F(-1)}, 1, F(1, 10**9))
+    assert lau_enclosure({0: 3}, 5, F(1, 10)) == RationalInterval.point(3)
     # a negative fractional exponent uses reciprocal powers: e^(-1/2) squared
     half = lau_enclosure({-1: F(1)}, 2, F(1, 10**9))
     sq = half * half
@@ -332,8 +332,8 @@ def test_quotient_enclosure_and_sign():
     with pytest.raises(BudgetExceededError):
         exp_sum_sign({-1500: F(1), -1501: F(-1)}, 1)
     assert exp_sum_sign({-1500: F(-1), -1501: F(-3)}, 1) == -1
-    # integer coefficients over q sign alike: (2e - 5)/7 > 0
-    assert exp_sum_sign({1: 2, 0: -5}, 1, q=7) == 1
+    # int coefficients sign alike: 2e - 5 > 0
+    assert exp_sum_sign({1: 2, 0: -5}, 1) == 1
 
 
 def test_decimal_str():

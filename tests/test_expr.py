@@ -347,10 +347,9 @@ def test_power_of_one_monomial_makes_no_product(monkeypatch):
         assert _at_point(form, x, a) == (num, {F(0): F(1)})
 
 
-def _fraction_keyed(pair, m):
-    """A side (sum, q) over m read as the sum {k/m: c/q} of c/q * e^(k/m)."""
-    p, q = pair
-    return {F(k, m): F(c, q) for k, c in p.items()}
+def _fraction_keyed(p, m):
+    """A sum keyed over m read as the sum {k/m: c} of c * e^(k/m)."""
+    return {F(k, m): c for k, c in p.items()}
 
 
 def _at_point(form, x, a):
@@ -405,13 +404,13 @@ def test_exp_sum_division_limits():
     assert _at_point(lower_grid(parse_expression("1/(x - 1)")), F(1), F(0))[1] == {}
     with pytest.raises(LoweringError):
         _at_point(lower_grid(parse_expression("sign(1/(x - 1 + a))")), F(1), F(0))
-    # integer keys over the caller's M, integer coefficients over one q:
-    # the tree lowers to (4*exp(a*x/2) + 3*x)/12, and at x = 1/7, a = 1/12
-    # the exponent 1/168 is 5 over M = 840, each side over q = 7
+    # integer keys over the caller's M: the tree lowers to
+    # (4*exp(a*x/2) + 3*x)/12, and at x = 1/7, a = 1/12 the exponent 1/168
+    # is 5 over M = 840
     form = lower_grid(parse_expression("exp(a*x/2)/3 + x/4"))
     assert form.exp_den == 2
     assert exp_sum_at(form, F(1, 7), F(1, 12), 2 * 7 * 12 * 5) == (
-        ({5: 28, 0: 3}, 7), ({0: 84}, 7))
+        {5: F(4), 0: F(3, 7)}, {0: F(12)})
 
 
 def test_grid_lowering_keeps_powers_of_sums():
@@ -658,15 +657,14 @@ def test_integer_keys_over_the_command_denominator():
             return  # compared with a quotient evaluator in the test above
         form = lower_grid(tree)
         m = exp_denominator(form, xs, as_)
-        (num, qn), (den, qd) = exp_sum_at(form, x, a, m)
-        assert qn > 0 and qd > 0 and len(den) == 1
+        num, den = exp_sum_at(form, x, a, m)
+        assert len(den) == 1
         ((k, c),) = den.items()
-        f = qd if c > 0 else -qd
-        quotient, q = {j - k: v * f for j, v in num.items()}, qn * abs(c)
-        assert _fraction_keyed((quotient, q), m) == old
+        quotient = {j - k: v / c for j, v in num.items()}
+        assert _fraction_keyed(quotient, m) == old
         least = lcm(1, *(s.denominator for s in old))
         reference = {s.numerator * (least // s.denominator): v for s, v in old.items()}
-        assert lau_enclosure(quotient, m, eps, q=q) == lau_enclosure(reference, least, eps)
+        assert lau_enclosure(quotient, m, eps) == lau_enclosure(reference, least, eps)
         compared.append(m // least)
 
     check()

@@ -324,13 +324,13 @@ def test_grid_undecided_then_decided():
 
 
 def _quotient_at(form, x, a):
-    """num/den at a point whose den is a single term, as an integer-keyed
-    sum with rational coefficients over the point's own M, and that M."""
+    """num/den at a point whose den is a single term, as a sum keyed over
+    the point's own M, and that M."""
     m = exp_denominator(form, [x], [a])
-    (num, qn), (den, qd) = exp_sum_at(form, x, a, m)
+    num, den = exp_sum_at(form, x, a, m)
     assert len(den) == 1
     ((k, c),) = den.items()
-    return {j - k: F(v * qd, qn * c) for j, v in num.items()}, m
+    return {j - k: v / c for j, v in num.items()}, m
 
 
 def test_grid_encloses_each_tau_once(monkeypatch):
