@@ -85,6 +85,10 @@ COMMANDS = [
     ["grid", "1/(1/(x - a)) > -1", "--x", "0,1", "--a", "0,1", "--steps", "2"],
     ["grid", "(1/(x - a))^-1 > -1", "--x", "0,1", "--a", "0,1", "--steps", "2"],
     ["grid", "exp(x)^10000 > x^300*a^200", "--x", "0,1", "--a", "-1,1", "--steps", "3"],
+    [
+        "grid", "(exp(-300*a) - exp(-300*x))/exp(-300*a) > 0", "--x", "1/2,1",
+        "--a", "1/3,1/2", "--steps", "3",
+    ],
     ["prove", "1/(1/(x - 1/2)) + 1 > 0", "--on", "0,1"],
     ["prove", "exp(-x/3)^3 > exp(-x)", "--on", "0,1"],
     ["prove", "x*exp(-x) > x*exp(-x)", "--on", "0,1", "--json"],
