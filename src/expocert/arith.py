@@ -24,8 +24,8 @@ Maclaurin order; it computes on integer mantissas rounded outward. A
 caller that signs many sums, such as one grid command, passes it a table
 of the tau enclosures made so far, so each is made once. `exp_sum_sign`
 reads the sign of a one-signed sum off its coefficients and otherwise
-tightens the enclosure until it clears zero, down to a width floor, and
-`quotient_enclosure` divides two.
+tightens the enclosure of the sum over its largest e^s until it clears
+zero, down to a width floor; `quotient_enclosure` divides two.
 """
 
 from __future__ import annotations
@@ -344,18 +344,23 @@ def exp_sum_sign(
     Every e^s is positive, so coefficients of one sign give the sign
     outright, however small the value. Otherwise distinct e^s are linearly
     independent over Q (Lindemann-Weierstrass), so a nonempty sum is
-    nonzero and a narrow enough lau_enclosure clears zero. The width
-    starts at 2^-16 and is squared while it stays above eps, then eps is
-    tried; a mixed-sign value no width down to eps signs raises
+    nonzero, and a narrow enough lau_enclosure of it over its largest
+    e^s (an exact shift of the keys) clears zero: widths are relative to
+    that term. They start at 2^-16 and are squared while above eps, then
+    eps is tried; a mixed-sign value no width down to eps signs raises
     BudgetExceededError. m and `taus` are passed on to lau_enclosure.
     """
+    eps = _as_fraction(eps)
+    if eps <= 0:
+        raise PreconditionError("eps must be positive")
     if not a:
         return 0
     if all(c > 0 for c in a.values()):
         return 1
     if all(c < 0 for c in a.values()):
         return -1
-    eps = _as_fraction(eps)
+    top = max(a)
+    a = {k - top: c for k, c in a.items()}
     if taus is None:
         taus = {}
     bits = 16

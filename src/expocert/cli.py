@@ -461,7 +461,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True, metavar="c,d")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--eps", default="1/" + "1" + "0" * 30,
-                   help="narrowest enclosure width tried to sign a point")
+                   help="narrowest width tried to sign a sum, relative to its largest term")
     p.set_defaults(func=_cmd_grid)
 
     return parser

@@ -22,9 +22,9 @@ prover and the interval arithmetic can certify):
   The difference of the sides is lowered once to a quotient num/den; at
   each point both collapse to exact finite sums of rational multiples of
   e^s, so ties are recognized symbolically (no amount of interval
-  tightening could). A strict sign is read off coefficients of one sign,
-  or else off enclosures of a single e^(1/D) that narrow only until they
-  clear zero, down to the grid's eps.
+  tightening could). A point's sign is sign(num) * sign(den), each read
+  off coefficients of one sign or else off enclosures of a single
+  e^(1/D), down to the grid's eps relative to the sum's largest term.
 """
 
 from __future__ import annotations
@@ -537,18 +537,17 @@ def grid_check(
     lowered once (expr.lower_grid), and at each point its numerator and
     denominator become exact sums of rational multiples of powers of e,
     on integer keys over the command's one exponent denominator
-    (expr.exp_denominator). A single-term denominator divides exactly,
-    and the point takes the sign of the quotient (exp_sum_sign with eps
-    as its floor); a denominator of several terms gives the sign of the
-    numerator times that of the denominator; an exactly zero one, or a
-    sign(...) argument that divides by zero, leaves the point undecided.
-    Cancellation to zero is detected symbolically, so equality rows of
-    non-strict inequalities classify as holds no matter how close the
-    sides are. A difference whose coefficients share one sign is signed
-    outright; any other is enclosed at widths 2^-16, 2^-32, ... while
-    they stay above eps, then at eps, and stops at the first enclosure
-    that clears zero. A difference still unsigned at eps leaves the point
-    undecided (reported, never fatal).
+    (expr.exp_denominator). Every point takes the sign of the numerator
+    times that of the denominator (exp_sum_sign with eps as its floor);
+    an exactly zero denominator, or a sign(...) argument that divides by
+    zero, leaves the point undecided. Cancellation to zero is detected
+    symbolically, so equality rows of non-strict inequalities classify
+    as holds no matter how close the sides are. A sum whose coefficients
+    share one sign is signed outright; any other is enclosed at widths
+    2^-16, 2^-32, ... while they stay above eps, then at eps, each
+    relative to the sum's largest term, and stops at the first enclosure
+    that clears zero. A sum still unsigned at eps leaves the point
+    undecided (reported, never fatal). eps must be positive.
     """
     if isinstance(steps, tuple):
         nx, na = steps
@@ -588,16 +587,9 @@ def grid_check(
 
 def _point_sign(num: ExpSum, den: ExpSum, m: int, eps: Fraction, taus: dict) -> int:
     """Sign of num/den at one grid point, both keyed over m as exp_sum_at
-    gives them. A single-term den c * e^(k/m) divides exactly: the
-    quotient has coefficients n / c and keys shifted by -k; a den of
-    exactly 1 is skipped. A den of several terms gives sign(num) *
-    sign(den); an exactly zero one raises LoweringError."""
-    if len(den) > 1:
-        sgn = exp_sum_sign(num, m, eps, taus)
-        return sgn and sgn * exp_sum_sign(den, m, eps, taus)
+    gives them: sign(num) * sign(den). An exactly zero den raises
+    LoweringError."""
     if not den:
         raise LoweringError("division by exact zero at this point")
-    ((k, c),) = den.items()
-    if k or c != 1:
-        num = {j - k: v / c for j, v in num.items()}
-    return exp_sum_sign(num, m, eps, taus)
+    sgn = exp_sum_sign(num, m, eps, taus)
+    return sgn and sgn * exp_sum_sign(den, m, eps, taus)

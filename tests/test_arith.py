@@ -328,10 +328,16 @@ def test_quotient_enclosure_and_sign():
     assert exp_sum_sign({}, 1) == 0
     assert exp_sum_sign({-500: F(1)}, 1) == 1
     assert exp_sum_sign({-500: F(-1), -501: F(2)}, 1) == -1
-    # a mixed-sign value below 2^-2048 is not signed; one sign needs no width
-    with pytest.raises(BudgetExceededError):
-        exp_sum_sign({-1500: F(1), -1501: F(-1)}, 1)
+    # widths are relative to the largest term, so a tiny mixed-sign value
+    # is signed too; one sign needs no width
+    assert exp_sum_sign({-1500: F(1), -1501: F(-1)}, 1) == 1
     assert exp_sum_sign({-1500: F(-1), -1501: F(-3)}, 1) == -1
+    # 1 - e^(-10^-700) is below 2^-2048 of its largest term: not signed
+    with pytest.raises(BudgetExceededError):
+        exp_sum_sign({0: F(1), -1: F(-1)}, 10**700)
+    # eps must be positive, as for lau_enclosure
+    with pytest.raises(PreconditionError):
+        exp_sum_sign({-1500: F(1), -1501: F(-1)}, 1, 0)
     # int coefficients sign alike: 2e - 5 > 0
     assert exp_sum_sign({1: 2, 0: -5}, 1) == 1
 
@@ -425,8 +431,9 @@ def test_const_expr_against_sympy():
 
 def test_exp_sum_sign_against_sympy():
     # one-signed sums are signed however small (exponents down to -3000,
-    # far below the 2^-2048 enclosure cap); mixed sums of moderate size
-    # must agree with sympy's value at 60 digits
+    # far below the 2^-2048 enclosure cap); mixed sums of moderate size,
+    # and mixed sums whose exponents share an offset of 500 to 5000 either
+    # way, must agree with sympy's value at 60 digits
     pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     from hypothesis import given, settings, strategies as st
@@ -443,21 +450,44 @@ def test_exp_sum_sign_against_sympy():
     deep = st.fractions(min_value=-3000, max_value=40, max_denominator=7)
     near = st.fractions(min_value=-6, max_value=6, max_denominator=4)
     signed = st.integers(-9, 9).filter(bool).map(F)
+    positive = st.integers(1, 9).map(F)
+    # terms of both signs, all moved by one offset
+    both = st.tuples(
+        st.lists(st.tuples(near, positive), min_size=1, max_size=3),
+        st.lists(st.tuples(near, positive.map(lambda c: -c)), min_size=1, max_size=3),
+    ).map(lambda p: p[0] + p[1])
+    far = st.fractions(min_value=500, max_value=5000, max_denominator=7)
+    offset = st.tuples(far, st.sampled_from([1, -1])).map(lambda p: p[0] * p[1])
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         one_signed=st.lists(st.tuples(deep, coeff), min_size=1, max_size=5),
         sign=st.sampled_from([1, -1]),
         mixed=st.lists(st.tuples(near, signed), min_size=1, max_size=5),
+        moved=st.tuples(both, offset),
     )
-    def check(one_signed, sign, mixed):
+    def check(one_signed, sign, mixed, moved):
         a = as_sum((s, sign * c) for s, c in one_signed)
         assert exp_sum_sign(*over_m(a)) == sign == sympy.sign(value(a))
-        b = as_sum(mixed)
-        want = sympy.sign(value(b).evalf(60)) if b else 0
-        assert exp_sum_sign(*over_m(b)) == want
+        for terms in (mixed, [(s + moved[1], c) for s, c in moved[0]]):
+            b = as_sum(terms)
+            want = sympy.sign(value(b).evalf(60)) if b else 0
+            assert exp_sum_sign(*over_m(b)) == want
 
     check()
+    # values far above or below 1, which a width absolute in the value
+    # could not sign: e^500 - 1, e^3000 - 1, e^5000 - 2^-300,
+    # e^-1500 - e^-1501 and e^-1500 - e^(-1500 - 10^-6)
+    for terms in (
+        [(500, 1), (0, -1)],
+        [(3000, 1), (0, -1)],
+        [(5000, 1), (0, -F(1, 2**300))],
+        [(-1500, 1), (-1501, -1)],
+        [(-1500, 1), (-1500 - F(1, 10**6), -1)],
+    ):
+        for sign in (1, -1):
+            a = as_sum((F(s), sign * F(c)) for s, c in terms)
+            assert exp_sum_sign(*over_m(a)) == sign == sympy.sign(value(a).evalf(60))
 
 
 def test_lau_enclosure_against_sympy():

@@ -163,9 +163,10 @@ def test_prove_scan_budget_names_both_budgets(capsys):
     assert capsys.readouterr().err == (
         "undecided: no valid bound up to l = 20 (last P had 1 interior roots)\n"
     )
-    # on (0, 20000) the third point, x = 60000/41, has exp(-x) - exp(-2x)
-    # below the sign routine's 2^-2048 cap; neither verdict may hide the other
-    assert cli.run(["prove", "exp(-x) > exp(-2*x)", "--on", "0,20000"]) == 2
+    # at the first scanned point, x = 10^-400/41, exp(-x) - exp(-2x) - x is
+    # about -3x^2/2, below the sign routine's cap of 2^-2048 of its largest
+    # term; neither verdict may hide the other
+    assert cli.run(["prove", "exp(-x) > exp(-2*x) + x", "--on", "0,1e-400"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("undecided: no valid bound up to l = 20")
     assert err.endswith(

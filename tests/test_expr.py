@@ -630,8 +630,8 @@ def test_grid_lowering_matches_recursive_walk():
 def test_integer_keys_over_the_command_denominator():
     # grids whose axes have mixed and tiny denominators: at every point
     # the integer-keyed sums over the command's one M, read as k/M, give
-    # the old walk's value, and the quotient the grid signs (a single-term
-    # den divided out on integers) encloses to the same interval as the
+    # the old walk's value, and the quotient (a single-term den divided
+    # out on integers) encloses to the same interval as the
     # rational-keyed value at every width
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st

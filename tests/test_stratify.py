@@ -384,7 +384,8 @@ def test_grid_quotients_and_zero_denominators():
 
 def test_grid_signs_match_sympy_and_full_enclosures():
     # on random small grids every decided point has sympy's sign, and no
-    # point that one enclosure to width eps decides is left undecided
+    # point that one enclosure to width eps, relative to the point's
+    # largest term, decides is left undecided
     pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     from hypothesis import given, settings, strategies as st
@@ -434,6 +435,8 @@ def test_grid_signs_match_sympy_and_full_enclosures():
             if (xv, av) in verdicts:
                 assert verdicts[(xv, av)] == want
                 continue
+            top = max(diff, default=0)
+            diff = {k - top: c for k, c in diff.items()}
             try:
                 decided = not diff or lau_enclosure(diff, m, eps).definite_sign()
             except BudgetExceededError:
@@ -451,3 +454,5 @@ def test_grid_preconditions():
         grid_check(ineq, (F(1), F(0)), (F(0), F(1)), 3)
     with pytest.raises(PreconditionError):
         grid_check(ineq, (F(0), F(0)), (F(0), F(1)), 3)
+    with pytest.raises(PreconditionError):
+        grid_check(ineq, (F(0), F(1)), (F(0), F(1)), 3, eps=-1)
