@@ -4,14 +4,19 @@
         [--alternations 4] [--rounds 12]
 
 Each SRC is a directory that holds the `expocert` package, such as the
-`src` of a checkout. The trees take turns: in each alternation the parent
-and then the change run in a fresh subprocess, which imports expocert
-from its tree, runs one untimed round of the workload's commands (built
-by perfbench/workloads.py of the checkout that holds this script) and
-then times --rounds rounds through `expocert.cli.run`. Prints the median
-and minimum round time of each side per alternation, then the medians of
-those over all alternations, with the change's share of the parent's.
-Outputs are not compared here; tools/compare_outputs.py does that.
+`src` of a checkout. The trees take turns: in each alternation both run,
+each in a fresh subprocess, the parent first in odd alternations and the
+change first in even ones, so neither side always meets the machine in
+the same state. A run imports expocert from its tree, runs one untimed
+round of the workload's commands (built by perfbench/workloads.py of the
+checkout that holds this script) and then times --rounds rounds through
+`expocert.cli.run`. Prints the median and minimum round time of each
+side per alternation; then, over the alternations, each side's quartiles
+of its medians, the median of those medians with the change's share of
+the parent's, and in how many alternations the change was faster. A
+spread of the parent's own medians as wide as the difference between
+the sides means the difference is not resolved. Outputs are not compared
+here; tools/compare_outputs.py does that.
 """
 
 from __future__ import annotations
@@ -85,16 +90,32 @@ def main(argv=None) -> int:
     print(f"workload {args.workload}, seed {args.seed}: {args.rounds} timed rounds "
           f"per side per alternation, seconds per round (median / min)")
     for i in range(1, args.alternations + 1):
-        shown = []
-        for side, src in zip(SIDES, srcs):
+        order = list(zip(SIDES, srcs))
+        if i % 2 == 0:
+            order.reverse()
+        shown = {}
+        for side, src in order:
             times = _side(src, args)
             medians[side].append(statistics.median(times))
-            shown.append(f"{side} {statistics.median(times):.4f} / {min(times):.4f}")
-        print(f"  alternation {i}: " + ",  ".join(shown))
+            shown[side] = f"{side} {statistics.median(times):.4f} / {min(times):.4f}"
+        print(f"  alternation {i} ({order[0][0]} first): "
+              + ",  ".join(shown[side] for side in SIDES))
+    for side in SIDES:
+        q1, q2, q3 = _quartiles(medians[side])
+        print(f"{side} medians: q1 {q1:.4f}, median {q2:.4f}, q3 {q3:.4f}")
     parent, change = (statistics.median(medians[side]) for side in SIDES)
+    won = sum(c < p for p, c in zip(medians["parent"], medians["change"]))
     print(f"median of medians: parent {parent:.4f}, change {change:.4f} "
-          f"({change / parent:.1%} of the parent)")
+          f"({change / parent:.1%} of the parent); the change was faster in "
+          f"{won} of {args.alternations} alternations")
     return 0
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    """q1, median and q3 of values; a single value is all three."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 if __name__ == "__main__":
