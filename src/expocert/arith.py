@@ -350,14 +350,15 @@ def exp_sum_sign(
     eps is tried; a mixed-sign value no width down to eps signs raises
     BudgetExceededError. m and `taus` are passed on to lau_enclosure.
     """
+    # a rational's sign is its numerator's: no Fraction comparison per call
     eps = _as_fraction(eps)
-    if eps <= 0:
+    if eps.numerator <= 0:
         raise PreconditionError("eps must be positive")
     if not a:
         return 0
-    if all(c > 0 for c in a.values()):
+    if all(c.numerator > 0 for c in a.values()):
         return 1
-    if all(c < 0 for c in a.values()):
+    if all(c.numerator < 0 for c in a.values()):
         return -1
     top = max(a)
     a = {k - top: c for k, c in a.items()}
